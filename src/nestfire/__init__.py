@@ -6,8 +6,8 @@ firing pattern to every pattern enclosing it. From those two rules it
 builds:
 
 * ``topology`` -- the nesting structure and its connectivity queries;
-* ``dynamics`` -- the discrete-time firing simulation, with a golden-table
-  extraction for regression against the reference strength table;
+* ``dynamics`` -- the discrete-time firing simulation, one strength per
+  pattern, with a golden-table extraction against the reference table;
 * ``counter`` -- a timer/counter/battery state machine over a nested chain;
 * ``energy`` -- signal attenuation, capacitor-style multi-hop firing
   arithmetic, the multiplicative centering cost, and the inward-vs-outward
@@ -26,7 +26,6 @@ from .dynamics import (
     MODE_SCHEDULED,
     Schedule,
     SimState,
-    StepBreakdown,
     TraceTable,
     first_zero_step,
     golden_table,
@@ -102,7 +101,6 @@ __all__ = [
     "MODE_FREE_RUN",
     "Schedule",
     "SimState",
-    "StepBreakdown",
     "TraceTable",
     "initial_state",
     "step",

@@ -7,6 +7,10 @@ included), and every neuron whose pattern strictly encloses a firing pattern
 q loses ``inhibitory_weight * excitatory_unit * size(q)`` per such q.
 Strengths clamp at zero; they never go negative.
 
+Every update is the same for all members of a pattern, so state holds one
+strength per pattern; neurons appear only in the ``TraceTable`` a run
+returns, laid out as ``topology.members`` says.
+
 Two firing modes exist:
 
 * ``scheduled`` -- a pattern fires at step t iff t has reached its activation
@@ -27,10 +31,11 @@ mutate their inputs, so independent runs can share specs freely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
-from .errors import AsymmetricPattern, OutOfRange, SpecMismatch, WrongShape
+from .errors import AsymmetricPattern, OutOfRange, SpecMismatch, ValidationError, WrongShape
 from .topology import EnsembleSpec, ancestors, members
 
 __all__ = [
@@ -38,7 +43,6 @@ __all__ = [
     "MODE_FREE_RUN",
     "Schedule",
     "SimState",
-    "StepBreakdown",
     "TraceTable",
     "initial_state",
     "step",
@@ -63,13 +67,13 @@ class Schedule:
         object.__setattr__(self, "activation_step", tuple(int(t) for t in self.activation_step))
         for k, t in enumerate(self.activation_step):
             if t < 1:
-                raise ValueError(f"activation step for pattern {k} must be >= 1, got {t}")
+                raise ValidationError(f"activation step for pattern {k} must be >= 1, got {t}")
 
     @classmethod
     def staggered(cls, num_patterns: int, interval: int = 1) -> "Schedule":
         """One new pattern per ``interval`` steps, outermost first: t_k = 1 + k*interval."""
         if interval < 1:
-            raise ValueError(f"interval must be >= 1, got {interval}")
+            raise ValidationError(f"interval must be >= 1, got {interval}")
         return cls(tuple(1 + k * interval for k in range(num_patterns)))
 
 
@@ -77,10 +81,11 @@ class Schedule:
 class SimState:
     """Snapshot after ``step`` simulation steps.
 
-    ``strength`` holds the accumulated per-neuron signal; ``active`` marks
-    the patterns that fired on the step just computed and ``ever_active``
-    those that have fired at least once. ``drive`` is the external energy
-    supply consulted by root patterns in free-run mode.
+    ``strength`` holds one accumulated signal per pattern, shared by all of
+    its members; ``active`` marks the patterns that fired on the step just
+    computed and ``ever_active`` those that have fired at least once.
+    ``drive`` is the external energy supply consulted by root patterns in
+    free-run mode.
     """
 
     step: int
@@ -88,18 +93,6 @@ class SimState:
     active: np.ndarray
     ever_active: np.ndarray
     drive: bool = True
-
-
-@dataclass(frozen=True, eq=False)
-class StepBreakdown:
-    """Per-neuron signal totals of one step, after weighting.
-
-    The update satisfies strength_t = max(0, strength_{t-1} + excitatory_in
-    - inhibitory_in) elementwise.
-    """
-
-    excitatory_in: np.ndarray
-    inhibitory_in: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,7 +115,7 @@ def initial_state(spec: EnsembleSpec) -> SimState:
     """The all-zero state before any step has run."""
     return SimState(
         step=0,
-        strength=np.zeros(spec.num_neurons),
+        strength=np.zeros(spec.num_patterns),
         active=np.zeros(spec.num_patterns, dtype=bool),
         ever_active=np.zeros(spec.num_patterns, dtype=bool),
     )
@@ -133,48 +126,18 @@ def step(
     spec: EnsembleSpec,
     schedule: Schedule,
     mode: str = MODE_SCHEDULED,
-) -> tuple[SimState, StepBreakdown]:
-    """Advance the simulation by one step; returns the new state and the
-    per-neuron excitatory/inhibitory totals that produced it."""
-    _check_dimensions(state, spec, schedule)
-    if mode not in (MODE_SCHEDULED, MODE_FREE_RUN):
-        raise ValueError(f"unknown mode {mode!r}")
-
-    t = state.step + 1
-    reached = np.array([t >= t_k for t_k in schedule.activation_step])
-    if mode == MODE_SCHEDULED:
-        fires = reached
-    else:
-        fires = np.zeros(spec.num_patterns, dtype=bool)
-        for p in range(spec.num_patterns):
-            if not reached[p]:
-                continue
-            first = spec.offset(p)
-            alive = state.strength[first] > 0 or not state.ever_active[p]
-            parent = spec.patterns[p].parent
-            gate = state.drive if parent is None else bool(state.active[parent])
-            fires[p] = alive and gate
-
-    exc = np.zeros(spec.num_neurons)
-    inh = np.zeros(spec.num_neurons)
-    s = spec.excitatory_unit
-    delta = spec.inhibitory_weight
-    for q in range(spec.num_patterns):
-        if not fires[q]:
-            continue
-        size_q = spec.patterns[q].size
-        exc[members(spec, q)] += s * size_q
-        for a in ancestors(spec, q):
-            inh[members(spec, a)] += delta * s * size_q
-
-    new_state = SimState(
-        step=t,
-        strength=np.maximum(state.strength + exc - inh, 0.0),
-        active=fires,
-        ever_active=state.ever_active | fires,
-        drive=state.drive,
-    )
-    return new_state, StepBreakdown(excitatory_in=exc, inhibitory_in=inh)
+) -> SimState:
+    """Advance the simulation by one step and return the new state."""
+    advance = _compile(spec, schedule, mode)
+    shape = (spec.num_patterns,)
+    if state.strength.shape != shape:
+        raise SpecMismatch(
+            f"state has {state.strength.shape[0]} pattern strengths,"
+            f" spec has {spec.num_patterns} patterns"
+        )
+    if state.active.shape != shape or state.ever_active.shape != shape:
+        raise SpecMismatch("state pattern flags disagree with spec pattern count")
+    return advance(state)
 
 
 def run(
@@ -185,16 +148,17 @@ def run(
 ) -> TraceTable:
     """Run ``steps`` steps from the all-zero state and collect the full trace."""
     if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+        raise ValidationError(f"steps must be >= 1, got {steps}")
+    advance = _compile(spec, schedule, mode)
     state = initial_state(spec)
-    rows = []
-    for _ in range(steps):
-        state, _breakdown = step(state, spec, schedule, mode)
-        rows.append(state.strength)
-    pattern_of = np.concatenate(
-        [np.full(p.size, p.id, dtype=int) for p in spec.patterns]
-    )
-    return TraceTable(values=np.vstack(rows), pattern_of=pattern_of)
+    rows = np.empty((steps, spec.num_patterns))
+    for row in rows:
+        state = advance(state)
+        row[:] = state.strength
+    pattern_of = np.empty(spec.num_neurons, dtype=int)
+    for p in range(spec.num_patterns):
+        pattern_of[members(spec, p)] = p
+    return TraceTable(values=rows[:, pattern_of], pattern_of=pattern_of)
 
 
 def pattern_strength(trace: TraceTable, pattern: int, t: int) -> float:
@@ -244,17 +208,51 @@ def with_drive(state: SimState, drive: bool) -> SimState:
     return replace(state, drive=drive)
 
 
-def _check_dimensions(state: SimState, spec: EnsembleSpec, schedule: Schedule) -> None:
-    if state.strength.shape != (spec.num_neurons,):
-        raise SpecMismatch(
-            f"state has {state.strength.shape[0]} neurons, spec has {spec.num_neurons}"
-        )
-    if state.active.shape != (spec.num_patterns,) or state.ever_active.shape != (
-        spec.num_patterns,
-    ):
-        raise SpecMismatch("state pattern flags disagree with spec pattern count")
+def _compile(
+    spec: EnsembleSpec, schedule: Schedule, mode: str
+) -> Callable[[SimState], SimState]:
+    """Turn the nesting into per-pattern arrays once and return the step kernel."""
+    if mode not in (MODE_SCHEDULED, MODE_FREE_RUN):
+        raise ValidationError(f"unknown mode {mode!r}")
     if len(schedule.activation_step) != spec.num_patterns:
         raise SpecMismatch(
             f"schedule covers {len(schedule.activation_step)} patterns,"
             f" spec has {spec.num_patterns}"
         )
+    num_patterns = spec.num_patterns
+    sizes = np.array([p.size for p in spec.patterns])
+    # Inhibition targets are looked up when a pattern first fires: a deep
+    # chain has about depth**2 / 2 of them, and a short run needs few.
+    targets: list[np.ndarray | None] = [None] * num_patterns
+    # Roots get -1, a valid index whose gate value np.where discards.
+    parent = np.array([-1 if p.parent is None else p.parent for p in spec.patterns])
+    is_root = parent < 0
+    activation = np.array(schedule.activation_step)
+    excitation = spec.excitatory_unit * sizes
+    inhibition = spec.inhibitory_weight * spec.excitatory_unit * sizes
+    free_run = mode == MODE_FREE_RUN
+
+    def advance(state: SimState) -> SimState:
+        t = state.step + 1
+        fires = activation <= t
+        if free_run:
+            alive = (state.strength > 0) | ~state.ever_active
+            fires &= alive & np.where(is_root, state.drive, state.active[parent])
+        # Inhibition is summed one firing pattern at a time, in ascending
+        # order: for non-dyadic weights another order changes the low bits,
+        # and traces are pinned byte for byte.
+        inh = np.zeros(num_patterns)
+        for q in np.flatnonzero(fires):
+            if targets[q] is None:
+                targets[q] = np.array(ancestors(spec, q), dtype=np.intp)
+            inh[targets[q]] += inhibition[q]
+        exc = np.where(fires, excitation, 0.0)
+        return SimState(
+            step=t,
+            strength=np.maximum(state.strength + exc - inh, 0.0),
+            active=fires,
+            ever_active=state.ever_active | fires,
+            drive=state.drive,
+        )
+
+    return advance

@@ -51,4 +51,4 @@ class ParseError(NestfireError, ValueError):
 
 
 class ValidationError(NestfireError, ValueError):
-    """A parsed document violates a domain invariant."""
+    """A parsed document or an argument violates a domain invariant."""

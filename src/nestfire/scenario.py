@@ -126,18 +126,15 @@ def parse_scenario(text: str) -> Scenario:
     violations = validate(spec)
     if violations:
         raise ValidationError("; ".join(violations))
-    try:
-        if sched_type == "staggered":
-            schedule = Schedule.staggered(spec.num_patterns, interval)
-        else:
-            if len(explicit) != spec.num_patterns:
-                raise ValidationError(
-                    f"schedule.steps lists {len(explicit)} patterns, ensemble has"
-                    f" {spec.num_patterns}"
-                )
-            schedule = Schedule(tuple(explicit))
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    if sched_type == "staggered":
+        schedule = Schedule.staggered(spec.num_patterns, interval)
+    else:
+        if len(explicit) != spec.num_patterns:
+            raise ValidationError(
+                f"schedule.steps lists {len(explicit)} patterns, ensemble has"
+                f" {spec.num_patterns}"
+            )
+        schedule = Schedule(tuple(explicit))
     return Scenario(spec, schedule, steps, mode)
 
 
@@ -182,12 +179,12 @@ def standard_scenario() -> Scenario:
 def write_trace(trace: TraceTable) -> str:
     """Long-form CSV: one row per (step, neuron), 1-based labels,
     shortest round-trip decimals. Deterministic byte output."""
-    lines = [TRACE_HEADER]
-    for t in range(1, trace.num_steps + 1):
-        for i in range(trace.num_neurons):
-            value = repr(float(trace.values[t - 1, i]))
-            lines.append(f"{t},{i + 1},{int(trace.pattern_of[i]) + 1},{value}")
-    return "\n".join(lines) + "\n"
+    labels = [f"{i},{p + 1}," for i, p in enumerate(trace.pattern_of.tolist(), start=1)]
+    chunks = [TRACE_HEADER + "\n"]
+    for t, row in enumerate(trace.values, start=1):
+        lines = [f"{t},{label}{value!r}\n" for label, value in zip(labels, row.tolist())]
+        chunks.append("".join(lines))
+    return "".join(chunks)
 
 
 def read_trace(text: str) -> TraceTable:

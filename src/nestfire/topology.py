@@ -15,9 +15,10 @@ output and CLI reports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .errors import InvalidDimension, UnknownPattern
+from .errors import InvalidDimension, UnknownPattern, ValidationError
 
 __all__ = [
     "PatternSpec",
@@ -103,7 +104,7 @@ def ancestors(spec: EnsembleSpec, pattern: int) -> list[int]:
     while current is not None:
         if current in seen or not 0 <= current < spec.num_patterns:
             # Invalid spec (cycle or dangling parent); refuse to loop forever.
-            raise ValueError(f"nesting cycle or dangling parent at pattern {current}")
+            raise ValidationError(f"nesting cycle or dangling parent at pattern {current}")
         chain.append(current)
         seen.add(current)
         current = spec.patterns[current].parent
@@ -140,10 +141,11 @@ def validate(spec: EnsembleSpec) -> list[str]:
                 break
             seen.add(current)
             current = spec.patterns[current].parent
-    if spec.excitatory_unit <= 0:
-        violations.append(f"excitatory_unit must be > 0, got {spec.excitatory_unit}")
-    if spec.inhibitory_weight < 0:
-        violations.append(f"inhibitory_weight must be >= 0, got {spec.inhibitory_weight}")
+    unit, weight = spec.excitatory_unit, spec.inhibitory_weight
+    if not (math.isfinite(unit) and unit > 0):
+        violations.append(f"excitatory_unit must be finite and > 0, got {unit}")
+    if not (math.isfinite(weight) and weight >= 0):
+        violations.append(f"inhibitory_weight must be finite and >= 0, got {weight}")
     return violations
 
 

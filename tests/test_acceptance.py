@@ -32,7 +32,6 @@ from nestfire import (
     hops_from_weights,
     initial_state,
     layout_distances,
-    members,
     most_reinforced,
     pattern_strength,
     random_mirrored_layout,
@@ -139,12 +138,16 @@ def test_criterion_5_dynamics_property_suite():
         for t in range(1, 10)
     )
 
-    innermost = members(ensemble, ensemble.num_patterns - 1)
+    # Innermost immunity: its strength is exactly its own accumulated
+    # excitation, so no inhibition ever reached it.
+    innermost = ensemble.num_patterns - 1
+    size = ensemble.patterns[innermost].size
     state = initial_state(ensemble)
     no_inhibition = True
-    for _ in range(steps):
-        state, breakdown = step(state, ensemble, schedule, mode)
-        no_inhibition &= not breakdown.inhibitory_in[innermost].any()
+    for t in range(1, steps + 1):
+        state = step(state, ensemble, schedule, mode)
+        own = ensemble.excitatory_unit * size * max(0, t - schedule.activation_step[innermost] + 1)
+        no_inhibition &= state.strength[innermost] == own
 
     non_negative = bool((trace.values >= 0).all())
     final = [pattern_strength(trace, k, 5) for k in range(5)]

@@ -68,6 +68,16 @@ class TestSimulate:
         assert err.startswith("nestfire: error:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_non_finite_parameter_is_invalid_input(self, capsys, tmp_path, scenario_file, literal):
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(scenario_file.read_text().replace("1.0", literal))
+        assert dispatch(["simulate", "--scenario", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("nestfire: error:") and "excitatory_unit" in err
+        assert err.count("\n") == 1
+
 
 class TestCounter:
     def test_depth_three_output(self, capsys):

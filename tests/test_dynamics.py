@@ -14,12 +14,16 @@ from nestfire import (
     MODE_FREE_RUN,
     MODE_SCHEDULED,
     AsymmetricPattern,
+    EnsembleSpec,
+    NestfireError,
     OutOfRange,
+    PatternSpec,
     Schedule,
     SimState,
     SpecMismatch,
     TraceTable,
     WrongShape,
+    ancestors,
     build_linear,
     first_zero_step,
     golden_table,
@@ -34,51 +38,34 @@ from oracles import expand_to_neurons, reference_run
 
 STANDARD = build_linear(5, 5, 1.0, 0.5)
 STAGGERED = Schedule.staggered(5)
+CYCLIC = EnsembleSpec((PatternSpec(0, 1, 1), PatternSpec(1, 0, 1)), 1.0, 0.5)
 
 
 def run_steps(spec, schedule, steps, mode=MODE_SCHEDULED):
-    """Step-by-step driver returning every (state, breakdown) pair."""
+    """Step-by-step driver returning the state after every step."""
     state = initial_state(spec)
     history = []
     for _ in range(steps):
-        state, breakdown = step(state, spec, schedule, mode)
-        history.append((state, breakdown))
+        state = step(state, spec, schedule, mode)
+        history.append(state)
     return history
 
 
 class TestStep:
     def test_standard_chain_after_three_steps(self):
-        state = run_steps(STANDARD, STAGGERED, 3)[-1][0]
-        per_pattern = state.strength.reshape(5, 5)
-        assert np.array_equal(per_pattern[0], np.full(5, 7.5))
-        assert np.array_equal(per_pattern[1], np.full(5, 7.5))
-        assert np.array_equal(per_pattern[2], np.full(5, 5.0))
-        assert np.array_equal(per_pattern[3], np.zeros(5))
-        assert np.array_equal(per_pattern[4], np.zeros(5))
+        state = run_steps(STANDARD, STAGGERED, 3)[-1]
+        assert state.strength.tolist() == [7.5, 7.5, 5.0, 0.0, 0.0]
 
     def test_zero_inhibition_accumulates_linearly(self):
         spec = build_linear(5, 5, 1.0, 0.0)
-        state = run_steps(spec, STAGGERED, 3)[-1][0]
-        per_pattern = state.strength.reshape(5, 5)
-        assert per_pattern[0][0] == 15.0
-        assert per_pattern[1][0] == 10.0
-        assert per_pattern[2][0] == 5.0
+        state = run_steps(spec, STAGGERED, 3)[-1]
+        assert state.strength.tolist()[:3] == [15.0, 10.0, 5.0]
 
     def test_small_chain_matches_reference_loop(self):
         # Derived with oracles.reference_run(3, 2, 1.0, 0.5, [1,2,3], 3)
         spec = build_linear(3, 2, 1.0, 0.5)
-        state = run_steps(spec, Schedule.staggered(3), 3)[-1][0]
-        assert state.strength.tolist() == [3.0, 3.0, 3.0, 3.0, 2.0, 2.0]
-
-    def test_breakdown_reconstructs_update(self):
-        state = initial_state(STANDARD)
-        for _ in range(5):
-            new_state, breakdown = step(state, STANDARD, STAGGERED)
-            expected = np.maximum(
-                state.strength + breakdown.excitatory_in - breakdown.inhibitory_in, 0.0
-            )
-            assert np.array_equal(new_state.strength, expected)
-            state = new_state
+        state = run_steps(spec, Schedule.staggered(3), 3)[-1]
+        assert state.strength.tolist() == [3.0, 3.0, 2.0]
 
     def test_dimension_mismatch_rejected(self):
         other = build_linear(3, 2, 1.0, 0.5)
@@ -90,6 +77,21 @@ class TestStep:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             step(initial_state(STANDARD), STANDARD, STAGGERED, mode="warp")
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: ancestors(CYCLIC, 0),
+            lambda: Schedule((1, 0)),
+            lambda: Schedule.staggered(3, 0),
+            lambda: step(initial_state(STANDARD), STANDARD, STAGGERED, mode="warp"),
+            lambda: run(STANDARD, STAGGERED, 0),
+        ],
+        ids=["nesting-cycle", "activation-step", "interval", "mode", "steps"],
+    )
+    def test_invalid_arguments_raise_nestfire_error(self, call):
+        with pytest.raises(NestfireError):
+            call()
 
     def test_inputs_not_mutated(self):
         state = initial_state(STANDARD)
@@ -213,8 +215,10 @@ class TestInvariants:
                 assert pattern_strength(trace, k, t) == expected
 
     def test_innermost_receives_no_inhibition(self):
-        for state, breakdown in run_steps(STANDARD, STAGGERED, 10):
-            assert not breakdown.inhibitory_in[20:25].any()
+        # Innermost fires from t=5 on; any inhibition would pull it below
+        # its own accumulated excitation of 5 per step.
+        innermost = [state.strength[4] for state in run_steps(STANDARD, STAGGERED, 10)]
+        assert innermost == [5.0 * max(0, t - 4) for t in range(1, 11)]
 
     def test_non_negativity(self):
         trace = run(STANDARD, STAGGERED, 20)
@@ -245,7 +249,7 @@ class TestFreeRun:
         # Outermost dies at t=5 and stops firing; each deeper level loses its
         # parent gate one step later, so firing ceases entirely by t=10.
         history = run_steps(STANDARD, STAGGERED, 12, MODE_FREE_RUN)
-        firing_sets = [tuple(np.nonzero(state.active)[0]) for state, _ in history]
+        firing_sets = [tuple(np.nonzero(state.active)[0]) for state in history]
         assert firing_sets[4] == (0, 1, 2, 3, 4)  # t=5: all firing
         assert firing_sets[5] == (1, 2, 3, 4)     # t=6: root starved out
         assert firing_sets[6] == (2, 3, 4)
@@ -256,21 +260,21 @@ class TestFreeRun:
 
     def test_quiescent_state_is_stable(self):
         history = run_steps(STANDARD, STAGGERED, 15, MODE_FREE_RUN)
-        final = history[-1][0].strength
-        assert np.array_equal(history[10][0].strength, final)
+        final = history[-1].strength
+        assert np.array_equal(history[10].strength, final)
 
     def test_without_drive_nothing_starts(self):
         state = with_drive(initial_state(STANDARD), False)
-        state, breakdown = step(state, STANDARD, STAGGERED, MODE_FREE_RUN)
+        state = step(state, STANDARD, STAGGERED, MODE_FREE_RUN)
         assert not state.active.any()
-        assert not breakdown.excitatory_in.any()
+        assert not state.strength.any()
 
     def test_child_waits_for_parent_gate(self):
         # Child scheduled before its parent ever fires: the gate delays it.
         spec = build_linear(2, 2, 1.0, 0.5)
         schedule = Schedule((3, 1))
         history = run_steps(spec, schedule, 4, MODE_FREE_RUN)
-        firing_sets = [tuple(np.nonzero(state.active)[0]) for state, _ in history]
+        firing_sets = [tuple(np.nonzero(state.active)[0]) for state in history]
         assert firing_sets[0] == ()       # t=1: child gated, parent not due
         assert firing_sets[1] == ()       # t=2
         assert firing_sets[2] == (0,)     # t=3: parent starts

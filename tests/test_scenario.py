@@ -61,6 +61,14 @@ class TestParseScenario:
         with pytest.raises(ValidationError, match="inhibitory_weight"):
             parse_scenario(json.dumps(doc))
 
+    @pytest.mark.parametrize("key", ["excitatory_unit", "inhibitory_weight"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_parameters_fail_validation(self, key, value):
+        doc = standard_doc()
+        doc["ensemble"][key] = value  # json.dumps writes NaN / Infinity
+        with pytest.raises(ValidationError, match=key):
+            parse_scenario(json.dumps(doc))
+
     def test_unknown_key_rejected(self):
         doc = standard_doc()
         doc["foo"] = 1
