@@ -102,6 +102,13 @@ class TraceTable:
     values: np.ndarray
     pattern_of: np.ndarray = field(repr=False)
 
+    def __post_init__(self) -> None:
+        if self.values.ndim != 2 or self.pattern_of.shape != self.values.shape[1:]:
+            raise WrongShape(
+                f"trace values of shape {self.values.shape} need one pattern per"
+                f" neuron, got pattern_of of shape {self.pattern_of.shape}"
+            )
+
     @property
     def num_steps(self) -> int:
         return self.values.shape[0]

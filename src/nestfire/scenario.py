@@ -4,7 +4,8 @@ Scenario documents are JSON with a fixed schema; parsing is strict, so an
 unknown or missing key is an error rather than a silent default. Traces
 serialize to CSV with 1-based neuron/pattern labels and shortest
 round-trip decimal numbers, which makes repeated runs byte-identical and
-the files human-checkable.
+the files human-checkable. The writer formats one ``repr`` per run of equal
+neighbouring values rather than one per neuron; the text is the same.
 
 Structural problems (bad JSON, wrong keys, wrong types) raise ParseError;
 documents that parse but violate a domain invariant raise ValidationError.
@@ -13,6 +14,7 @@ documents that parse but violate a domain invariant raise ValidationError.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import NamedTuple
@@ -142,14 +144,14 @@ def write_scenario(scenario: Scenario) -> str:
     """Serialize a scenario back to a document; parse(write(s)) == s.
 
     Only linear chains with uniform pattern size are representable in the
-    file schema; anything else raises ValueError.
+    file schema; anything else raises ValidationError.
     """
     spec = scenario.ensemble
     sizes = {p.size for p in spec.patterns}
     parents = [p.parent for p in spec.patterns]
     linear = parents == [None] + list(range(spec.num_patterns - 1))
     if len(sizes) != 1 or not linear:
-        raise ValueError("only linear chains with uniform pattern size serialize")
+        raise ValidationError("only linear chains with uniform pattern size serialize")
     doc = {
         "ensemble": {
             "depth": spec.num_patterns,
@@ -178,12 +180,28 @@ def standard_scenario() -> Scenario:
 
 def write_trace(trace: TraceTable) -> str:
     """Long-form CSV: one row per (step, neuron), 1-based labels,
-    shortest round-trip decimals. Deterministic byte output."""
+    shortest round-trip decimals. Deterministic byte output.
+
+    Each step is split into runs of neighbouring neurons whose values have
+    identical bits, and each run's value is formatted once. Members of a
+    pattern share one value, so an engine trace has at most one run per
+    pattern per step; a table with no equal neighbours falls back to one
+    run per neuron. The text is the same either way.
+    """
     labels = [f"{i},{p + 1}," for i, p in enumerate(trace.pattern_of.tolist(), start=1)]
+    values = trace.values
+    # Bits, not ==: -0.0 == 0.0 but the two print differently.
+    size = values.itemsize
+    bits = values.view(f"u{size}" if size in (1, 2, 4, 8) else f"V{size}")
+    run_starts = np.ones(values.shape, dtype=bool)
+    run_starts[:, 1:] = bits[:, 1:] != bits[:, :-1]
     chunks = [TRACE_HEADER + "\n"]
-    for t, row in enumerate(trace.values, start=1):
-        lines = [f"{t},{label}{value!r}\n" for label, value in zip(labels, row.tolist())]
-        chunks.append("".join(lines))
+    for t, (row, starts) in enumerate(zip(values, run_starts), start=1):
+        cuts = np.flatnonzero(starts).tolist()
+        head = f"{t},"
+        for a, b, value in zip(cuts, cuts[1:] + [len(row)], row[cuts].tolist()):
+            tail = f"{value!r}\n"
+            chunks += (head, (tail + head).join(labels[a:b]), tail)
     return "".join(chunks)
 
 
@@ -228,13 +246,13 @@ def read_trace(text: str) -> TraceTable:
 
 def compare_grids(actual, expected, tolerance: float = GOLDEN_TOLERANCE) -> GoldenReport:
     """Element-wise comparison of two golden-layout grids (rows are neurons
-    1.., columns are steps t=3,4,5)."""
+    1.., columns are steps t=3,4,5). ``tolerance`` must be finite and >= 0."""
     actual = np.asarray(actual, dtype=float)
     expected = np.asarray(expected, dtype=float)
     if actual.shape != expected.shape or actual.ndim != 2:
         raise WrongShape(f"grid shapes disagree: {actual.shape} vs {expected.shape}")
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValidationError(f"tolerance must be finite and >= 0, got {tolerance}")
     diff = np.abs(actual - expected)
     mismatches = tuple(
         (int(i) + 1, int(j) + 3, float(expected[i, j]), float(actual[i, j]))

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 from .errors import InvalidDimension, UnknownPattern, ValidationError
 
@@ -64,11 +66,17 @@ class EnsembleSpec:
 
     @property
     def num_neurons(self) -> int:
-        return sum(p.size for p in self.patterns)
+        return self._offsets[-1]
 
     def offset(self, pattern: int) -> int:
         """First neuron index of ``pattern`` (patterns occupy contiguous blocks)."""
-        return sum(p.size for p in self.patterns[:pattern])
+        _check_pattern(self, pattern)
+        return self._offsets[pattern]
+
+    @cached_property
+    def _offsets(self) -> tuple[int, ...]:
+        # Prefix sums of the pattern sizes; the last entry is the neuron count.
+        return tuple(accumulate((p.size for p in self.patterns), initial=0))
 
 
 def build_linear(
@@ -113,7 +121,6 @@ def ancestors(spec: EnsembleSpec, pattern: int) -> list[int]:
 
 def members(spec: EnsembleSpec, pattern: int) -> list[int]:
     """Neuron indices of ``pattern``: the targets of its internal excitation."""
-    _check_pattern(spec, pattern)
     start = spec.offset(pattern)
     return list(range(start, start + spec.patterns[pattern].size))
 

@@ -2,8 +2,9 @@
 
 Deliberately written without numpy and without touching the library's
 update code: plain per-pattern loops over a linear chain, exploiting the
-symmetry that all members of one pattern share the same strength. Expected
-values frozen into the tests were computed with these functions.
+symmetry that all members of one pattern share the same strength, and a
+per-neuron trace formatter. Expected values frozen into the tests were
+computed with these functions.
 """
 
 from __future__ import annotations
@@ -42,6 +43,21 @@ def reference_run(
 def expand_to_neurons(rows: list[list[float]], size: int) -> list[list[float]]:
     """Per-pattern rows -> per-neuron rows (members share their pattern value)."""
     return [[value for value in row for _ in range(size)] for row in rows]
+
+
+def reference_write_trace(trace) -> str:
+    """Trace CSV text formatted one f-string per (step, neuron).
+
+    The plain writer the library's run-based writer must match byte for
+    byte; numpy appears only in the ``.tolist()`` calls that turn the
+    table into Python numbers.
+    """
+    pattern_of = trace.pattern_of.tolist()
+    lines = ["step,neuron,pattern,strength\n"]
+    for t, row in enumerate(trace.values.tolist(), start=1):
+        for neuron, (pattern, value) in enumerate(zip(pattern_of, row), start=1):
+            lines.append(f"{t},{neuron},{pattern + 1},{value!r}\n")
+    return "".join(lines)
 
 
 def brute_force_chain_firings(weights: list[int]) -> int:

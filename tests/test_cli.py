@@ -28,6 +28,14 @@ class TestVerifyTable1:
         assert dispatch(["verify-table1", "--tolerance", "-1"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("literal", ["nan", "inf"])
+    def test_non_finite_tolerance_is_invalid_input(self, capsys, literal):
+        assert dispatch(["verify-table1", "--tolerance", literal]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("nestfire: error:") and "tolerance" in err
+        assert err.count("\n") == 1
+
     def test_never_exits_zero_on_mismatch(self, capsys, monkeypatch):
         import nestfire.cli as cli_module
 

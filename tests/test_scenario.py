@@ -1,14 +1,20 @@
 """Scenario documents, trace serialization, and golden comparison."""
 
 import json
+import math
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nestfire import (
     MODE_SCHEDULED,
+    EnsembleSpec,
     ParseError,
+    PatternSpec,
+    Scenario,
     Schedule,
     TraceTable,
     ValidationError,
@@ -25,7 +31,7 @@ from nestfire import (
     write_scenario,
     write_trace,
 )
-from oracles import expand_to_neurons, reference_run
+from oracles import expand_to_neurons, reference_run, reference_write_trace
 
 
 def shipped_scenario_text():
@@ -140,6 +146,11 @@ class TestParseScenario:
         varied = original._replace(steps=9, schedule=Schedule((1, 1, 4, 4, 9)))
         assert parse_scenario(write_scenario(varied)) == varied
 
+    def test_unrepresentable_ensemble_fails_validation(self):
+        spec = EnsembleSpec((PatternSpec(0, None, 2), PatternSpec(1, 0, 3)), 1.0, 0.5)
+        with pytest.raises(ValidationError):
+            write_scenario(Scenario(spec, Schedule((1, 2)), 3, MODE_SCHEDULED))
+
 
 @pytest.fixture(scope="module")
 def trace():
@@ -194,6 +205,79 @@ class TestTraceSerialization:
             read_trace(text)
 
 
+# A NaN whose payload differs from np.nan: other bits, same text.
+OTHER_NAN = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+TINY = 5e-324
+
+
+def table(values, pattern_of, dtype=float):
+    return TraceTable(
+        values=np.array(values, dtype=dtype), pattern_of=np.array(pattern_of, dtype=int)
+    )
+
+
+WRITER_CASES = {
+    "signed-zeros-in-one-pattern": table(
+        [[0.0, -0.0, -0.0, 0.0], [-0.0, 0.0, 0.0, 0.0]], [0, 0, 0, 0]
+    ),
+    "nan-inf-subnormal": table(
+        [[math.nan, math.nan, OTHER_NAN, math.inf, math.inf, -math.inf, TINY, TINY, 0.0]],
+        [0, 0, 0, 1, 1, 1, 2, 2, 2],
+    ),
+    "unequal-within-pattern": table([[1.0, 2.0, 2.0, 3.0], [7.5, 7.5, 0.1, 7.5]], [0, 0, 0, 0]),
+    "interleaved-patterns": table([[1.0, 1.0, 1.0, 2.0, 2.0, 1.0]], [0, 1, 0, 1, 2, 0]),
+    "zero-steps": table(np.zeros((0, 4)), [0, 0, 1, 1]),
+    "steps-without-neurons": table(np.zeros((3, 0)), []),
+    "float32": table([[0.1, 0.1, -0.0, 0.0, 1 / 3]], [0, 0, 1, 1, 2], dtype=np.float32),
+    "integer": table([[1, 1, 2], [0, 0, -(2**62)]], [0, 0, 1], dtype=np.int64),
+    "complex": table([[1j, 1j, -0.0, 0.0]], [0, 0, 1, 1], dtype=np.complex128),
+    "strided-view": TraceTable(
+        values=np.repeat(np.arange(6.0).reshape(2, 3), 4, axis=1)[:, ::2],
+        pattern_of=np.array([0, 0, 1, 1, 2, 2]),
+    ),
+}
+
+SAMPLE_FLOATS = [0.0, -0.0, math.nan, OTHER_NAN, math.inf, -math.inf, TINY, 0.1, 1 / 3, 7.5]
+SAMPLE_INTS = [0, 1, -1, 2**62]
+
+
+@st.composite
+def trace_tables(draw):
+    """Small tables of any shape, dtype and layout, with frequent equal neighbours."""
+    steps = draw(st.integers(0, 4))
+    width = draw(st.integers(0, 12))
+    stride = draw(st.sampled_from([1, 2]))
+    dtype = draw(st.sampled_from([np.float64, np.float32, np.int64]))
+    pool = SAMPLE_INTS if dtype is np.int64 else SAMPLE_FLOATS
+    row = st.lists(st.sampled_from(pool), min_size=width * stride, max_size=width * stride)
+    rows = draw(st.lists(row, min_size=steps, max_size=steps))
+    values = np.array(rows, dtype=dtype).reshape(steps, width * stride)[:, ::stride]
+    pattern_of = draw(st.lists(st.integers(0, 3), min_size=width, max_size=width))
+    return TraceTable(values=values, pattern_of=np.array(pattern_of, dtype=int))
+
+
+class TestWriterMatchesReference:
+    @pytest.mark.parametrize("name", list(WRITER_CASES))
+    def test_edge_case_tables(self, name):
+        trace = WRITER_CASES[name]
+        assert write_trace(trace) == reference_write_trace(trace)
+
+    def test_engine_traces(self, trace):
+        ensemble, schedule, _, _ = standard_scenario()
+        free = run(ensemble, schedule, 11, "free_run")
+        for each in (trace, free):
+            assert write_trace(each) == reference_write_trace(each)
+
+    @given(trace_tables())
+    def test_any_table(self, trace):
+        assert write_trace(trace) == reference_write_trace(trace)
+
+    @pytest.mark.parametrize("width, labels", [(3, 1), (1, 3), (0, 1)])
+    def test_table_needs_one_pattern_per_neuron(self, width, labels):
+        with pytest.raises(WrongShape):
+            TraceTable(values=np.zeros((2, width)), pattern_of=np.zeros(labels, dtype=int))
+
+
 class TestGoldenComparison:
     def test_standard_run_passes_exactly(self, trace):
         report = compare_golden(trace, table1_fixture(), tolerance=1e-9)
@@ -237,6 +321,12 @@ class TestGoldenComparison:
             compare_golden(trace, np.zeros((24, 3)))
         with pytest.raises(WrongShape):
             compare_grids(np.zeros((2, 2)), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0])
+    def test_tolerance_must_be_finite_and_non_negative(self, tolerance):
+        fixture = table1_fixture()
+        with pytest.raises(ValidationError):
+            compare_grids(fixture + 1, fixture, tolerance)
 
     def test_mismatch_records_use_table_labels(self):
         fixture = table1_fixture()

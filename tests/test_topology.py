@@ -73,10 +73,21 @@ class TestMembers:
         spec = build_linear(2, 1, 1.0, 0.5)
         assert members(spec, 1) == [1]
 
+    def test_blocks_follow_unequal_sizes(self):
+        spec = EnsembleSpec(
+            (PatternSpec(0, None, 2), PatternSpec(1, 0, 3), PatternSpec(2, 0, 1)), 1.0, 0.5
+        )
+        assert [members(spec, p) for p in range(3)] == [[0, 1], [2, 3, 4], [5]]
+        assert spec.num_neurons == 6
+
     def test_out_of_range(self):
         spec = build_linear(2, 1, 1.0, 0.5)
         with pytest.raises(UnknownPattern):
             members(spec, 2)
+        with pytest.raises(UnknownPattern):
+            members(spec, -1)
+        with pytest.raises(UnknownPattern):
+            spec.offset(2)
 
 
 class TestValidate:
