@@ -4,13 +4,17 @@ Lifecycle: an on-switch starts the outermost level; activation then cascades
 inward one level per tick, and each level emits one count event on
 activation. When the innermost level activates it signals the off-switch;
 on the next tick the off-switch inhibits the on-switch (removing the
-external drive), and one tick later the whole group is quiescent. A counter
-of depth d therefore emits exactly d counts at ticks 1..d and goes
-quiescent at tick d+2. Quiescence is absorbing: further ticks change
-nothing.
+external drive), and one tick later the whole group is quiescent.
 
-The on/off switches are modeled as control signals, not as patterns with
-their own dynamics, and ``tick`` is a pure transition over values.
+The trajectory depends only on the depth d, so it is written in closed
+form: level k counts at tick k, the off-switch acts at tick d+1, and the
+counter is quiescent from tick d+2 on (absorbing). The first activations
+match the free-run dynamics of a staggered linear chain (level k first
+fires at step k), but the wind-down does not follow from the firing rules:
+with the drive removed at d+1, a chain stops firing anywhere from tick d+1
+to 2d depending on the inhibitory weight, and its strengths never return to
+zero. The on/off switches are therefore control signals, not patterns with
+their own dynamics.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ class CountEvent:
 
 @dataclass(frozen=True)
 class CounterState:
-    """Phase machine snapshot; ``level`` is set only while cascading."""
+    """Counter snapshot; ``level`` is set only while cascading."""
 
     phase: Phase
     level: int | None
@@ -67,45 +71,35 @@ class CounterState:
 def start(spec: CounterSpec) -> CounterState:
     """Idle state, ready to cascade from level 1 on the first tick."""
     _check_depth(spec)
-    return CounterState(phase=Phase.IDLE, level=None, tick=0, emissions=())
+    return _state_at(spec, 0)
 
 
 def tick(state: CounterState, spec: CounterSpec) -> CounterState:
-    """Advance the counter by one tick.
-
-    Idle -> Cascading(1), then one level inward per tick with a CountEvent
-    per activation; after the innermost level the off-switch acts
-    (ShuttingDown), then everything goes dark (Quiescent, absorbing).
-    """
+    """Advance the counter by one tick; quiescence is absorbing."""
     if state.phase is Phase.QUIESCENT:
         return state
-    t = state.tick + 1
-    if state.phase is Phase.IDLE:
-        return _activate(state, level=1, tick_=t)
-    if state.phase is Phase.CASCADING:
-        assert state.level is not None
-        if state.level < spec.depth:
-            return _activate(state, level=state.level + 1, tick_=t)
-        # Innermost already active: the off-switch it signalled now inhibits
-        # the on-switch, removing the external drive.
-        return CounterState(Phase.SHUTTING_DOWN, None, t, state.emissions)
-    # SHUTTING_DOWN: drive is gone, all levels switch off.
-    return CounterState(Phase.QUIESCENT, None, t, state.emissions)
+    return _state_at(spec, state.tick + 1)
 
 
 def run_counter(spec: CounterSpec) -> tuple[list[CountEvent], CounterState]:
-    """Tick from start to quiescence; returns every emission and the final
-    state. Completes in exactly depth + 2 ticks."""
+    """Every emission and the final state, reached at tick depth + 2."""
     _check_depth(spec)
-    state = start(spec)
-    while state.phase is not Phase.QUIESCENT:
-        state = tick(state, spec)
-    return list(state.emissions), state
+    final = _state_at(spec, spec.depth + 2)
+    return list(final.emissions), final
 
 
-def _activate(state: CounterState, level: int, tick_: int) -> CounterState:
-    emitted = state.emissions + (CountEvent(level=level, tick=tick_),)
-    return CounterState(Phase.CASCADING, level, tick_, emitted)
+def _state_at(spec: CounterSpec, t: int) -> CounterState:
+    """The state at tick ``t``: idle at 0, cascading at level t up to the
+    depth, shutting down one tick later, quiescent after that."""
+    d = spec.depth
+    emissions = tuple(CountEvent(level=k, tick=k) for k in range(1, min(t, d) + 1))
+    if t == 0:
+        return CounterState(Phase.IDLE, None, t, emissions)
+    if t <= d:
+        return CounterState(Phase.CASCADING, t, t, emissions)
+    if t == d + 1:
+        return CounterState(Phase.SHUTTING_DOWN, None, t, emissions)
+    return CounterState(Phase.QUIESCENT, None, t, emissions)
 
 
 def _check_depth(spec: CounterSpec) -> None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AttenuatedOut, DegenerateLayout, OutOfRange
+from .errors import AttenuatedOut, DegenerateLayout, OutOfRange, ValidationError
 
 __all__ = [
     "HopSpec",
@@ -58,14 +58,15 @@ class HopSpec:
     impulse: float
 
     def __post_init__(self) -> None:
+        _check_finite(**vars(self))
         if self.distance < 0:
-            raise ValueError(f"distance must be >= 0, got {self.distance}")
+            raise ValidationError(f"distance must be >= 0, got {self.distance}")
         if self.attenuation < 0:
-            raise ValueError(f"attenuation must be >= 0, got {self.attenuation}")
+            raise ValidationError(f"attenuation must be >= 0, got {self.attenuation}")
         if self.threshold <= 0:
-            raise ValueError(f"threshold must be > 0, got {self.threshold}")
+            raise ValidationError(f"threshold must be > 0, got {self.threshold}")
         if self.impulse <= 0:
-            raise ValueError(f"impulse must be > 0, got {self.impulse}")
+            raise ValidationError(f"impulse must be > 0, got {self.impulse}")
 
     @property
     def arriving(self) -> float:
@@ -82,7 +83,7 @@ class ChainSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "hops", tuple(self.hops))
         if not self.hops:
-            raise ValueError("a chain needs at least one hop")
+            raise ValidationError("a chain needs at least one hop")
 
 
 @dataclass(frozen=True)
@@ -94,9 +95,9 @@ class WeightChain:
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
         if not self.weights:
-            raise ValueError("a weight chain needs at least one hop")
+            raise ValidationError("a weight chain needs at least one hop")
         if any(w < 1 for w in self.weights):
-            raise ValueError(f"all weights must be >= 1, got {self.weights}")
+            raise ValidationError(f"all weights must be >= 1, got {self.weights}")
 
     @property
     def num_positions(self) -> int:
@@ -121,7 +122,10 @@ def firings_per_hop(hop: HopSpec) -> int:
             f"impulse {hop.impulse} cannot cover distance {hop.distance}"
             f" at loss {hop.attenuation}/unit"
         )
-    return math.ceil(hop.threshold / arriving)
+    firings = hop.threshold / arriving
+    if not math.isfinite(firings):
+        raise ValidationError(f"threshold {hop.threshold} needs too many firings at {arriving}")
+    return math.ceil(firings)
 
 
 def chain_source_firings(chain: WeightChain) -> int:
@@ -193,9 +197,11 @@ class GroupLayout:
         nodes = np.asarray(self.nodes, dtype=float)
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 2 or nodes.shape[1] != 2 or nodes.shape[0] < 1:
-            raise ValueError(f"nodes must be a (k, 2) array, got shape {nodes.shape}")
+            raise ValidationError(f"nodes must be a (k, 2) array, got shape {nodes.shape}")
+        if not np.isfinite(nodes).all():
+            raise ValidationError("node positions must be finite")
         if not 0 <= self.terminal < nodes.shape[0]:
-            raise ValueError(f"terminal {self.terminal} not among the {nodes.shape[0]} nodes")
+            raise ValidationError(f"terminal {self.terminal} not among the {nodes.shape[0]} nodes")
 
     @property
     def center(self) -> np.ndarray:
@@ -252,9 +258,9 @@ def random_mirrored_layout(
     """Random facing pair: group_b is group_a point-reflected through the
     midpoint between centers, so the terminals sit on the facing edges."""
     if num_nodes < 2:
-        raise ValueError(f"need at least 2 nodes per group, got {num_nodes}")
+        raise ValidationError(f"need at least 2 nodes per group, got {num_nodes}")
     if radius <= 0 or separation <= 0:
-        raise ValueError("radius and separation must be > 0")
+        raise ValidationError("radius and separation must be > 0")
     angles = rng.uniform(0.0, 2.0 * np.pi, size=num_nodes)
     radii = radius * np.sqrt(rng.uniform(0.0, 1.0, size=num_nodes))
     nodes_a = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
@@ -273,10 +279,11 @@ class Route:
     reinforcement: float = 0.0
 
     def __post_init__(self) -> None:
+        _check_finite(**vars(self))
         if self.length <= 0:
-            raise ValueError(f"route length must be > 0, got {self.length}")
+            raise ValidationError(f"route length must be > 0, got {self.length}")
         if self.reinforcement < 0:
-            raise ValueError(f"reinforcement must be >= 0, got {self.reinforcement}")
+            raise ValidationError(f"reinforcement must be >= 0, got {self.reinforcement}")
 
 
 @dataclass(frozen=True)
@@ -295,10 +302,11 @@ def stigmergy_reinforce(routes: RouteSet, cycles: int, energy_per_cycle: float) 
     Equal energy reaches each route per cycle, so shorter routes accumulate
     trace faster, exactly as pheromone trails favour shorter paths.
     """
+    _check_finite(energy_per_cycle=energy_per_cycle)
     if cycles < 0:
-        raise ValueError(f"cycles must be >= 0, got {cycles}")
+        raise ValidationError(f"cycles must be >= 0, got {cycles}")
     if energy_per_cycle <= 0:
-        raise ValueError(f"energy_per_cycle must be > 0, got {energy_per_cycle}")
+        raise ValidationError(f"energy_per_cycle must be > 0, got {energy_per_cycle}")
     return RouteSet(
         tuple(
             replace(r, reinforcement=r.reinforcement + cycles * energy_per_cycle / r.length)
@@ -310,8 +318,15 @@ def stigmergy_reinforce(routes: RouteSet, cycles: int, energy_per_cycle: float) 
 def most_reinforced(routes: RouteSet) -> int:
     """Index of the route with the strongest trace; ties to the lowest index."""
     if not routes.routes:
-        raise ValueError("empty route set")
+        raise ValidationError("empty route set")
     return max(
         range(len(routes.routes)),
         key=lambda i: (routes.routes[i].reinforcement, -i),
     )
+
+
+def _check_finite(**values: float) -> None:
+    """Reject NaN and infinite inputs, naming the first one found."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")

@@ -5,6 +5,21 @@ callers can catch one base class. Each subclass also inherits the closest
 builtin category (ValueError, LookupError) so generic handlers keep working.
 """
 
+__all__ = [
+    "NestfireError",
+    "InvalidDimension",
+    "UnknownPattern",
+    "SpecMismatch",
+    "AsymmetricPattern",
+    "OutOfRange",
+    "WrongShape",
+    "InvalidDepth",
+    "AttenuatedOut",
+    "DegenerateLayout",
+    "ParseError",
+    "ValidationError",
+]
+
 
 class NestfireError(Exception):
     """Base class for all nestfire errors."""

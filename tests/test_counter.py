@@ -1,10 +1,24 @@
-"""Counter state machine: lifecycle, emission contract, absorbing quiescence."""
+"""Counter: lifecycle, emission contract, absorbing quiescence, and agreement
+with the first activations of the free-run dynamics."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nestfire import CounterSpec, InvalidDepth, Phase, run_counter, start, tick
+from nestfire import (
+    MODE_FREE_RUN,
+    CounterSpec,
+    InvalidDepth,
+    Phase,
+    Schedule,
+    build_linear,
+    initial_state,
+    run_counter,
+    start,
+    step,
+    tick,
+)
 
 
 def replay(spec, ticks):
@@ -112,3 +126,27 @@ def test_counter_contract(depth):
     assert tick(final, spec) == final
     # emissions strictly increasing and never beyond depth
     assert all(e.level <= depth for e in events)
+
+
+@given(
+    depth=st.integers(1, 12),
+    size=st.integers(1, 5),
+    unit=st.sampled_from([0.25, 1.0, 3.0]),
+    delta=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+)
+def test_count_ticks_match_free_run_first_activations(depth, size, unit, delta):
+    """Level k counts at the step pattern k-1 first fires in a driven free run
+    of a staggered linear chain. Only the first activations are compared: the
+    wind-down after the drive is removed depends on the inhibitory weight."""
+    spec = build_linear(depth, size, unit, delta)
+    schedule = Schedule.staggered(depth)
+    state = initial_state(spec)
+    first_fire = [None] * depth
+    for _ in range(depth):
+        state = step(state, spec, schedule, MODE_FREE_RUN)
+        for k in np.flatnonzero(state.active):
+            if first_fire[k] is None:
+                first_fire[k] = state.step
+    events, _ = run_counter(CounterSpec(depth=depth))
+    assert [e.tick for e in events] == first_fire
+    assert [e.level for e in events] == list(range(1, depth + 1))

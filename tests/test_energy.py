@@ -15,6 +15,7 @@ from nestfire import (
     GroupLayout,
     HopSpec,
     LayoutSpec,
+    NestfireError,
     OutOfRange,
     Route,
     RouteSet,
@@ -314,3 +315,49 @@ class TestStigmergy:
             stigmergy_reinforce(routes, 1, 0.0)
         with pytest.raises(ValueError):
             Route(0.0)
+
+
+NAN = float("nan")
+INF = float("inf")
+
+INVALID_ENERGY_INPUTS = {
+    "hop-nan-distance": lambda: HopSpec(NAN, 0.25, 2.0, 1.0),
+    "hop-nan-attenuation": lambda: HopSpec(1.0, NAN, 2.0, 1.0),
+    "hop-nan-threshold": lambda: HopSpec(1.0, 0.25, NAN, 1.0),
+    "hop-nan-impulse": lambda: HopSpec(1.0, 0.25, 2.0, NAN),
+    "hop-inf-distance": lambda: HopSpec(INF, 0.25, 2.0, 1.0),
+    "hop-inf-attenuation": lambda: HopSpec(1.0, INF, 2.0, 1.0),
+    "hop-inf-threshold": lambda: HopSpec(1.0, 0.25, INF, 1.0),
+    "hop-inf-impulse": lambda: HopSpec(1.0, 0.25, 2.0, INF),
+    "hop-negative-distance": lambda: HopSpec(-1.0, 0.0, 1.0, 1.0),
+    "hop-negative-attenuation": lambda: HopSpec(0.0, -1.0, 1.0, 1.0),
+    "hop-zero-threshold": lambda: HopSpec(0.0, 0.0, 0.0, 1.0),
+    "hop-zero-impulse": lambda: HopSpec(0.0, 0.0, 1.0, 0.0),
+    "hop-too-many-firings": lambda: firings_per_hop(HopSpec(0.0, 0.0, 1e300, 1e-300)),
+    "empty-chain": lambda: ChainSpec(()),
+    "empty-weight-chain": lambda: WeightChain(()),
+    "weight-below-one": lambda: WeightChain((2, 0)),
+    "group-wrong-shape": lambda: GroupLayout(np.zeros((3, 3)), 0),
+    "group-bad-terminal": lambda: GroupLayout(np.zeros((3, 2)), 3),
+    "layout-one-node": lambda: random_mirrored_layout(np.random.default_rng(0), num_nodes=1),
+    "layout-zero-radius": lambda: random_mirrored_layout(np.random.default_rng(0), radius=0.0),
+    "group-nan-node": lambda: GroupLayout(np.array([[0.0, NAN], [1.0, 0.0]]), 0),
+    "layout-nan-radius": lambda: random_mirrored_layout(np.random.default_rng(0), radius=NAN),
+    "layout-inf-separation": lambda: random_mirrored_layout(
+        np.random.default_rng(0), separation=INF
+    ),
+    "route-nan-length": lambda: Route(NAN),
+    "route-inf-reinforcement": lambda: Route(1.0, INF),
+    "route-zero-length": lambda: Route(0.0),
+    "route-negative-reinforcement": lambda: Route(1.0, -1.0),
+    "reinforce-negative-cycles": lambda: stigmergy_reinforce(RouteSet((Route(2.0),)), -1, 1.0),
+    "reinforce-zero-energy": lambda: stigmergy_reinforce(RouteSet((Route(2.0),)), 1, 0.0),
+    "reinforce-nan-energy": lambda: stigmergy_reinforce(RouteSet((Route(2.0),)), 1, NAN),
+    "empty-route-set": lambda: most_reinforced(RouteSet(())),
+}
+
+
+@pytest.mark.parametrize("make", INVALID_ENERGY_INPUTS.values(), ids=INVALID_ENERGY_INPUTS.keys())
+def test_invalid_energy_input_raises_nestfire_error(make):
+    with pytest.raises(NestfireError):
+        make()
