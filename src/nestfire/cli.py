@@ -23,7 +23,7 @@ from .energy import (
     layout_distances,
     random_mirrored_layout,
 )
-from .errors import NestfireError
+from .errors import NestfireError, ValidationError
 from .scenario import (
     GOLDEN_TOLERANCE,
     compare_golden,
@@ -76,14 +76,13 @@ def dispatch(argv: list[str]) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (NestfireError, OSError, ValueError) as exc:
+        # ValueError too: a scenario file that is not UTF-8 raises UnicodeDecodeError.
         print(f"nestfire: error: {exc}", file=sys.stderr)
         return 2
 
 
 def _cmd_simulate(args) -> int:
-    text = Path(args.scenario).read_text()
-    ensemble, schedule, steps, mode = parse_scenario(text)
-    trace = run(ensemble, schedule, steps, mode)
+    trace = run(*parse_scenario(Path(args.scenario).read_text()))
     output = write_trace(trace)
     if args.out:
         Path(args.out).write_text(output)
@@ -93,8 +92,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify_table1(args) -> int:
-    ensemble, schedule, steps, mode = standard_scenario()
-    trace = run(ensemble, schedule, steps, mode)
+    trace = run(*standard_scenario())
     report = compare_golden(trace, table1_fixture(), args.tolerance)
     if report.passed:
         print(f"pass max_abs_error={report.max_abs_error:g}")
@@ -132,7 +130,7 @@ def _cmd_center(args) -> int:
 
 def _cmd_layout(args) -> int:
     if args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+        raise ValidationError(f"--trials must be >= 1, got {args.trials}")
     print(f"seed={args.seed} trials={args.trials}")
     rng = np.random.default_rng(args.seed)
     passed = 0
@@ -154,12 +152,9 @@ def _cmd_layout(args) -> int:
 
 def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise ValueError(f"{flag} expects comma-separated integers, got {text!r}") from exc
-    if not values:
-        raise ValueError(f"{flag} needs at least one value")
-    return values
+        raise ValidationError(f"{flag} expects comma-separated integers, got {text!r}") from exc
 
 
 _COMMANDS = {

@@ -7,9 +7,9 @@ included), and every neuron whose pattern strictly encloses a firing pattern
 q loses ``inhibitory_weight * excitatory_unit * size(q)`` per such q.
 Strengths clamp at zero; they never go negative.
 
-Every update is the same for all members of a pattern, so state holds one
-strength per pattern; neurons appear only in the ``TraceTable`` a run
-returns, laid out as ``topology.members`` says.
+Every update is the same for all members of a pattern, so states and traces
+hold one strength per pattern; ``TraceTable.values`` spreads a trace over
+the neurons, laid out as ``topology.members`` says.
 
 Two firing modes exist:
 
@@ -31,11 +31,12 @@ mutate their inputs, so independent runs can share specs freely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .errors import AsymmetricPattern, OutOfRange, SpecMismatch, ValidationError, WrongShape
+from .errors import OutOfRange, SpecMismatch, ValidationError, WrongShape
 from .topology import EnsembleSpec, ancestors, members
 
 __all__ = [
@@ -97,25 +98,31 @@ class SimState:
 
 @dataclass(frozen=True, eq=False)
 class TraceTable:
-    """Step x neuron matrix of strengths plus the neuron-to-pattern map."""
+    """Step x pattern strengths plus a neuron-to-pattern map naming every pattern."""
 
-    values: np.ndarray
+    strength: np.ndarray
     pattern_of: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if self.values.ndim != 2 or self.pattern_of.shape != self.values.shape[1:]:
-            raise WrongShape(
-                f"trace values of shape {self.values.shape} need one pattern per"
-                f" neuron, got pattern_of of shape {self.pattern_of.shape}"
-            )
+        shapes_ok = self.strength.ndim == 2 and self.pattern_of.ndim == 1
+        # A set, not np.unique: that imports numpy.ma (tens of ms) on first use.
+        if not shapes_ok or set(self.pattern_of.tolist()) != set(range(self.strength.shape[1])):
+            raise WrongShape(f"pattern_of must name each pattern of strength{self.strength.shape}")
 
     @property
     def num_steps(self) -> int:
-        return self.values.shape[0]
+        return self.strength.shape[0]
 
     @property
     def num_neurons(self) -> int:
-        return self.values.shape[1]
+        return self.pattern_of.shape[0]
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Read-only step x neuron matrix: each neuron holds its pattern's strength."""
+        values = self.strength[:, self.pattern_of]
+        values.flags.writeable = False
+        return values
 
 
 def initial_state(spec: EnsembleSpec) -> SimState:
@@ -165,24 +172,16 @@ def run(
     pattern_of = np.empty(spec.num_neurons, dtype=int)
     for p in range(spec.num_patterns):
         pattern_of[members(spec, p)] = p
-    return TraceTable(values=rows[:, pattern_of], pattern_of=pattern_of)
+    return TraceTable(strength=rows, pattern_of=pattern_of)
 
 
 def pattern_strength(trace: TraceTable, pattern: int, t: int) -> float:
-    """The common per-neuron strength of ``pattern`` at step ``t`` (1-based).
-
-    Raises AsymmetricPattern if the members disagree: updates are
-    pattern-uniform, so unequal members indicate a bug upstream.
-    """
+    """The strength every member of ``pattern`` holds after step ``t`` (1-based)."""
     if not 1 <= t <= trace.num_steps:
         raise OutOfRange(f"step {t} not in 1..{trace.num_steps}")
-    mask = trace.pattern_of == pattern
-    if not mask.any():
+    if not 0 <= pattern < trace.strength.shape[1]:
         raise OutOfRange(f"pattern {pattern} not present in trace")
-    values = trace.values[t - 1, mask]
-    if not np.all(values == values[0]):
-        raise AsymmetricPattern(f"pattern {pattern} members disagree at t={t}: {values}")
-    return float(values[0])
+    return float(trace.strength[t - 1, pattern])
 
 
 def first_zero_step(trace: TraceTable, pattern: int) -> int | None:

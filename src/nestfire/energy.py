@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
@@ -41,6 +43,8 @@ __all__ = [
     "stigmergy_reinforce",
     "most_reinforced",
 ]
+
+_MAX_ORACLE_FIRINGS = 10**6  # event_oracle replays a million in about half a second
 
 
 @dataclass(frozen=True)
@@ -140,10 +144,12 @@ def event_oracle(chain: ChainSpec) -> int:
     threshold, and resets its accumulator to zero.
 
     Independent of the product rule; the two must agree exactly whenever
-    every hop delivers positive charge.
+    every hop delivers positive charge. A chain that needs more than a
+    million source firings raises ValidationError instead.
     """
-    for hop in chain.hops:
-        firings_per_hop(hop)  # raises AttenuatedOut if nothing arrives
+    firings = math.prod(firings_per_hop(hop) for hop in chain.hops)
+    if firings > _MAX_ORACLE_FIRINGS:
+        raise ValidationError(f"event replay needs {firings} source firings, over 10**6")
     arriving = [h.arriving for h in chain.hops]
     thresholds = [h.threshold for h in chain.hops]
     charge = [0.0] * len(chain.hops)
@@ -182,8 +188,10 @@ def centering_cost(chain: WeightChain, position: int) -> int:
 
 
 def best_center(chain: WeightChain) -> int:
-    """Position minimizing the centering cost; ties go to the lowest index."""
-    return min(range(chain.num_positions), key=lambda pos: centering_cost(chain, pos))
+    """Lowest-index position of least centering cost, from prefix and suffix products."""
+    left = [0, *accumulate(chain.weights, mul)]
+    right = [*accumulate(reversed(chain.weights), mul)][::-1] + [0]
+    return min(range(chain.num_positions), key=lambda pos: left[pos] + right[pos])
 
 
 @dataclass(frozen=True, eq=False)

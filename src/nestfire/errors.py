@@ -38,7 +38,7 @@ class SpecMismatch(NestfireError, ValueError):
 
 
 class AsymmetricPattern(NestfireError, ValueError):
-    """Members of one pattern hold unequal strengths (an implementation bug)."""
+    """Members of one pattern disagree in a trace read from text."""
 
 
 class OutOfRange(NestfireError, IndexError):

@@ -4,8 +4,8 @@ Scenario documents are JSON with a fixed schema; parsing is strict, so an
 unknown or missing key is an error rather than a silent default. Traces
 serialize to CSV with 1-based neuron/pattern labels and shortest
 round-trip decimal numbers, which makes repeated runs byte-identical and
-the files human-checkable. The writer formats one ``repr`` per run of equal
-neighbouring values rather than one per neuron; the text is the same.
+the files human-checkable. A trace holds one strength per pattern; the CSV
+lists it once per member neuron, and reading collapses it back.
 
 Structural problems (bad JSON, wrong keys, wrong types) raise ParseError;
 documents that parse but violate a domain invariant raise ValidationError.
@@ -16,13 +16,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import MODE_FREE_RUN, MODE_SCHEDULED, Schedule, TraceTable, golden_table
-from .errors import InvalidDimension, ParseError, ValidationError, WrongShape
+from .errors import AsymmetricPattern, InvalidDimension, ParseError, ValidationError, WrongShape
 from .topology import EnsembleSpec, build_linear, validate
 
 __all__ = [
@@ -44,6 +47,8 @@ GOLDEN_TOLERANCE = 1e-9
 
 TRACE_HEADER = "step,neuron,pattern,strength"
 FIXTURE_HEADER = "neuron,t3,t4,t5"
+_TRACE_ROW = np.dtype([("step", "i8"), ("neuron", "i8"), ("pattern", "i8"), ("strength", "f8")])
+_FIXTURE_ROW = np.dtype([("neuron", "i8"), ("t3", "f8"), ("t4", "f8"), ("t5", "f8")])
 
 _MODES = (MODE_SCHEDULED, MODE_FREE_RUN)
 
@@ -179,69 +184,49 @@ def standard_scenario() -> Scenario:
 
 
 def write_trace(trace: TraceTable) -> str:
-    """Long-form CSV: one row per (step, neuron), 1-based labels,
-    shortest round-trip decimals. Deterministic byte output.
-
-    Each step is split into runs of neighbouring neurons whose values have
-    identical bits, and each run's value is formatted once. Members of a
-    pattern share one value, so an engine trace has at most one run per
-    pattern per step; a table with no equal neighbours falls back to one
-    run per neuron. The text is the same either way.
-    """
-    labels = [f"{i},{p + 1}," for i, p in enumerate(trace.pattern_of.tolist(), start=1)]
-    values = trace.values
-    # Bits, not ==: -0.0 == 0.0 but the two print differently.
-    size = values.itemsize
-    bits = values.view(f"u{size}" if size in (1, 2, 4, 8) else f"V{size}")
-    run_starts = np.ones(values.shape, dtype=bool)
-    run_starts[:, 1:] = bits[:, 1:] != bits[:, :-1]
-    chunks = [TRACE_HEADER + "\n"]
-    for t, (row, starts) in enumerate(zip(values, run_starts), start=1):
-        cuts = np.flatnonzero(starts).tolist()
-        head = f"{t},"
-        for a, b, value in zip(cuts, cuts[1:] + [len(row)], row[cuts].tolist()):
-            tail = f"{value!r}\n"
-            chunks += (head, (tail + head).join(labels[a:b]), tail)
-    return "".join(chunks)
+    """Long-form CSV: one row per (step, neuron), 1-based labels, shortest
+    round-trip decimals, deterministic bytes. Each block of neighbouring
+    neurons in one pattern has its strength formatted once per step."""
+    blocks = [
+        (p, [f"{i},{p + 1}," for i, _ in members])
+        for p, members in groupby(enumerate(trace.pattern_of.tolist(), start=1), key=itemgetter(1))
+    ]
+    # A row of numbers and a joined string per step keep peak memory near the output size.
+    steps = [TRACE_HEADER + "\n"]
+    for t, row in enumerate(map(np.ndarray.tolist, trace.strength), start=1):
+        head, chunks = f"{t},", []
+        for p, labels in blocks:
+            tail = f"{row[p]!r}\n"
+            chunks += (head, (tail + head).join(labels), tail)
+        steps.append("".join(chunks))
+    return "".join(steps)
 
 
 def read_trace(text: str) -> TraceTable:
-    """Inverse of :func:`write_trace`; rows must be in canonical order."""
-    lines = [line for line in text.split("\n") if line]
-    if not lines or lines[0] != TRACE_HEADER:
-        raise ParseError(f"trace must start with header {TRACE_HEADER!r}")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != 4:
-            raise ParseError(f"line {lineno}: expected 4 fields, got {len(fields)}")
-        try:
-            rows.append((int(fields[0]), int(fields[1]), int(fields[2]), float(fields[3])))
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from exc
-    if not rows:
-        return TraceTable(values=np.zeros((0, 0)), pattern_of=np.zeros(0, dtype=int))
-    num_neurons = max(r[1] for r in rows)
-    num_steps = rows[-1][0]
-    if len(rows) != num_steps * num_neurons:
-        raise ParseError(f"expected {num_steps * num_neurons} rows, got {len(rows)}")
-    values = np.zeros((num_steps, num_neurons))
-    pattern_of = np.zeros(num_neurons, dtype=int)
-    for index, (t, neuron, pattern, value) in enumerate(rows):
-        expect_t, expect_neuron = divmod(index, num_neurons)
-        if t != expect_t + 1 or neuron != expect_neuron + 1:
-            raise ParseError(
-                f"row {index + 2}: expected step {expect_t + 1} neuron"
-                f" {expect_neuron + 1}, got step {t} neuron {neuron}"
-            )
-        values[t - 1, neuron - 1] = value
-        if t == 1:
-            pattern_of[neuron - 1] = pattern - 1
-        elif pattern_of[neuron - 1] != pattern - 1:
-            raise ParseError(
-                f"row {index + 2}: neuron {neuron} changed pattern mid-trace"
-            )
-    return TraceTable(values=values, pattern_of=pattern_of)
+    """Inverse of :func:`write_trace` for rows in canonical order. The members of a
+    pattern must agree bit for bit at every step, ``0.0`` and ``-0.0`` included
+    (else AsymmetricPattern), and pattern labels must run 1..P (else WrongShape)."""
+    step, neuron, pattern, strength = _read_rows(text, TRACE_HEADER, _TRACE_ROW)
+    num_steps, num_neurons = int(step.max(initial=0)), int(neuron.max(initial=0))
+    if len(step) != num_steps * num_neurons:
+        raise ParseError(f"expected {num_steps * num_neurons} rows, got {len(step)}")
+    labels = np.stack([step, neuron, pattern])
+    expected = np.indices((num_steps, num_neurons)).reshape(2, -1) + 1
+    expected = np.vstack([expected, np.tile(pattern[:num_neurons], num_steps)])
+    misplaced = (labels != expected).any(axis=0)
+    if misplaced.any():
+        i = int(misplaced.argmax())
+        want, got = expected[:, i].tolist(), labels[:, i].tolist()
+        raise ParseError(f"line {i + 2}: expected step, neuron, pattern {want}, got {got}")
+    values = strength.reshape(num_steps, num_neurons)
+    pattern_of = pattern[:num_neurons] - 1
+    first_member = np.unique(pattern_of, return_index=True)[1]
+    trace = TraceTable(strength=values[:, first_member], pattern_of=pattern_of)
+    differs = values.view(np.uint64) != trace.values.view(np.uint64)
+    if differs.any():
+        t, i = divmod(int(differs.argmax()), num_neurons)
+        raise AsymmetricPattern(f"pattern {pattern_of[i] + 1} members disagree at step {t + 1}")
+    return trace
 
 
 def compare_grids(actual, expected, tolerance: float = GOLDEN_TOLERANCE) -> GoldenReport:
@@ -270,31 +255,17 @@ def compare_golden(
 ) -> GoldenReport:
     """Compare a trace's golden grid (neurons 1..25 at t=3,4,5) against a
     25 x 3 fixture grid."""
-    fixture = np.asarray(fixture, dtype=float)
-    if fixture.shape != (25, 3):
-        raise WrongShape(f"fixture must be 25 x 3, got {fixture.shape}")
     return compare_grids(golden_table(trace), fixture, tolerance)
 
 
 def read_golden_fixture(text: str) -> np.ndarray:
     """Parse the golden fixture CSV (header neuron,t3,t4,t5) into a grid."""
-    lines = [line for line in text.split("\n") if line]
-    if not lines or lines[0] != FIXTURE_HEADER:
-        raise ParseError(f"fixture must start with header {FIXTURE_HEADER!r}")
-    grid = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != 4:
-            raise ParseError(f"line {lineno}: expected 4 fields, got {len(fields)}")
-        try:
-            neuron = int(fields[0])
-            row = [float(v) for v in fields[1:]]
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from exc
-        if neuron != lineno - 1:
-            raise ParseError(f"line {lineno}: expected neuron {lineno - 1}, got {neuron}")
-        grid.append(row)
-    return np.array(grid)
+    neuron, *columns = _read_rows(text, FIXTURE_HEADER, _FIXTURE_ROW)
+    misnumbered = neuron != np.arange(1, len(neuron) + 1)
+    if misnumbered.any():
+        i = int(misnumbered.argmax())
+        raise ParseError(f"line {i + 2}: expected neuron {i + 1}, got {neuron[i]}")
+    return np.column_stack(columns)
 
 
 def table1_fixture() -> np.ndarray:
@@ -319,3 +290,28 @@ def _get(obj: dict, key: str, types, prefix: str = ""):
         type_names = types.__name__ if isinstance(types, type) else "number"
         raise ParseError(f"{prefix}{key} must be {type_names}, got {type(value).__name__}")
     return value
+
+
+def _read_rows(text: str, header: str, row: np.dtype) -> list[np.ndarray]:
+    """Parse CSV ``text`` below ``header`` into one array per field of ``row``,
+    in one C-level pass; blank lines are skipped. A row that does not parse
+    raises ParseError naming its line, found by bisection."""
+    lines = list(filter(None, text.splitlines()))
+    if not lines or lines[0] != header:
+        raise ParseError(f"expected header {header!r}")
+    rows = lines[1:]
+    parse = partial(np.loadtxt, dtype=row, delimiter=",", comments=None, ndmin=1)
+    try:
+        table = parse(rows) if rows else np.zeros(0, row)  # loadtxt warns on no rows
+    except ValueError:
+        lo, hi = 0, len(rows)  # rows[lo:hi] do not parse together
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                parse(rows[lo:mid])
+                lo = mid
+            except ValueError:
+                hi = mid
+        raise ParseError(f"line {lo + 2}: expected fields {header}, got {rows[lo]!r}") from None
+    return [table[name] for name in row.names]
+

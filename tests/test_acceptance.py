@@ -121,7 +121,7 @@ def test_criterion_5_dynamics_property_suite():
     symmetric = True
     for t in range(1, steps + 1):
         for k in range(ensemble.num_patterns):
-            pattern_strength(trace, k, t)  # raises on asymmetry
+            pattern_strength(trace, k, t)  # members share one stored strength
     wave = all(
         min(t for t in range(1, steps + 1) if pattern_strength(trace, k, t) > 0)
         == schedule.activation_step[k]

@@ -1,11 +1,13 @@
 """Command-line behavior: output formats, exit codes, determinism."""
 
+import argparse
 import subprocess
 import sys
 from importlib import resources
 
 import pytest
 
+from nestfire import ValidationError, cli
 from nestfire.cli import dispatch
 
 
@@ -86,6 +88,14 @@ class TestSimulate:
         assert err.startswith("nestfire: error:") and "excitatory_unit" in err
         assert err.count("\n") == 1
 
+    def test_non_utf8_scenario_is_invalid_input(self, capsys, tmp_path):
+        path = tmp_path / "latin1.scenario"
+        path.write_bytes(b'{"mode": "caf\xe9"}')
+        assert dispatch(["simulate", "--scenario", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("nestfire: error:") and err.count("\n") == 1
+
 
 class TestCounter:
     def test_depth_three_output(self, capsys):
@@ -118,6 +128,18 @@ class TestChain:
     def test_zero_weight_rejected(self, capsys):
         assert dispatch(["chain", "--hops", "2,0"]) == 2
         capsys.readouterr()
+
+    def test_a_million_firings_still_replayed(self, capsys):
+        assert dispatch(["chain", "--hops", "1000,1000"]) == 0
+        assert capsys.readouterr().out == "product=1000000 oracle=1000000\n"
+
+    def test_unbounded_replay_refused(self, capsys):
+        # 10**9 source firings: refused before the replay starts
+        assert dispatch(["chain", "--hops", "1000,1000,1000"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("nestfire: error:") and "source firings" in err
+        assert err.count("\n") == 1
 
 
 class TestCenter:
@@ -152,6 +174,19 @@ class TestLayout:
     def test_zero_trials_rejected(self, capsys):
         assert dispatch(["layout", "--trials", "0"]) == 2
         capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: cli._parse_ints("2,x", "--hops"),
+        lambda: cli._cmd_layout(argparse.Namespace(trials=0, seed=1)),
+    ],
+    ids=["integer-list", "trials"],
+)
+def test_argument_errors_are_validation_errors(call):
+    with pytest.raises(ValidationError):
+        call()
 
 
 class TestUsageErrors:

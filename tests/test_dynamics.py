@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from nestfire import (
     MODE_FREE_RUN,
     MODE_SCHEDULED,
-    AsymmetricPattern,
     EnsembleSpec,
     NestfireError,
     OutOfRange,
@@ -21,7 +20,6 @@ from nestfire import (
     Schedule,
     SimState,
     SpecMismatch,
-    TraceTable,
     WrongShape,
     ancestors,
     build_linear,
@@ -29,10 +27,12 @@ from nestfire import (
     golden_table,
     initial_state,
     pattern_strength,
+    read_trace,
     run,
     step,
     table1_fixture,
     with_drive,
+    write_trace,
 )
 from oracles import expand_to_neurons, reference_run
 
@@ -130,6 +130,14 @@ class TestRun:
         trace = run(STANDARD, STAGGERED, 2)
         assert trace.pattern_of.tolist() == [k for k in range(5) for _ in range(5)]
 
+    def test_trace_holds_one_strength_per_pattern(self):
+        trace = run(STANDARD, STAGGERED, 5)
+        expected = reference_run(5, 5, 1.0, 0.5, [1, 2, 3, 4, 5], 5)
+        assert trace.strength.tolist() == expected
+        assert np.array_equal(trace.values, trace.strength[:, trace.pattern_of])
+        with pytest.raises(ValueError):
+            trace.values[0, 0] = 1.0  # read-only: it must not drift from strength
+
 
 @pytest.fixture(scope="module")
 def trace():
@@ -151,13 +159,6 @@ class TestTraceQueries:
             pattern_strength(trace, 0, 0)
         with pytest.raises(OutOfRange):
             pattern_strength(trace, 9, 1)
-
-    def test_pattern_strength_detects_asymmetry(self):
-        values = np.zeros((1, 4))
-        values[0, 1] = 1.0
-        broken = TraceTable(values=values, pattern_of=np.array([0, 0, 1, 1]))
-        with pytest.raises(AsymmetricPattern):
-            pattern_strength(broken, 0, 1)
 
     def test_outermost_switches_off_at_five(self, trace):
         assert first_zero_step(trace, 0) == 5
@@ -187,9 +188,7 @@ class TestTraceQueries:
 class TestInvariants:
     def test_intra_pattern_symmetry_every_step(self):
         trace = run(STANDARD, STAGGERED, 12)
-        for t in range(1, 13):
-            for k in range(5):
-                pattern_strength(trace, k, t)  # raises AsymmetricPattern on violation
+        read_trace(write_trace(trace))  # raises AsymmetricPattern if members disagree
 
     def test_activation_wave(self):
         trace = run(STANDARD, STAGGERED, 5)

@@ -19,6 +19,7 @@ from nestfire import (
     OutOfRange,
     Route,
     RouteSet,
+    ValidationError,
     WeightChain,
     best_center,
     centering_cost,
@@ -153,6 +154,11 @@ class TestEventOracle:
         assert event_oracle(hops_from_weights(chain)) == product
         assert brute_force_chain_firings(weights) == product
 
+    @pytest.mark.parametrize("weights", [(1001, 1000), (1000, 1000, 1000), (10**6 + 1,)])
+    def test_replays_over_a_million_firings_are_refused(self, weights):
+        with pytest.raises(ValidationError, match="source firings"):
+            event_oracle(hops_from_weights(WeightChain(weights)))
+
 
 class TestCenteringCost:
     CHAIN = WeightChain((5, 2, 2, 2, 10, 10))
@@ -220,6 +226,12 @@ class TestBestCenter:
         assert centering_cost(chain, best) <= centering_cost(chain, middle)
         # mirror position ties by symmetry, so the tie-break keeps best low
         assert best <= chain.num_positions - 1 - best
+
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=12))
+    def test_matches_the_cheapest_position_by_cost(self, weights):
+        chain = WeightChain(tuple(weights))
+        positions = range(chain.num_positions)
+        assert best_center(chain) == min(positions, key=lambda pos: centering_cost(chain, pos))
 
 
 class TestLayout:

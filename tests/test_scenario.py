@@ -10,8 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nestfire import (
+    MODE_FREE_RUN,
     MODE_SCHEDULED,
+    AsymmetricPattern,
     EnsembleSpec,
+    NestfireError,
     ParseError,
     PatternSpec,
     Scenario,
@@ -172,7 +175,7 @@ class TestTraceSerialization:
         assert not any("e" in line or "E" in line for line in lines[1:])
 
     def test_empty_trace_is_header_only(self):
-        empty = TraceTable(values=np.zeros((0, 0)), pattern_of=np.zeros(0, dtype=int))
+        empty = TraceTable(strength=np.zeros((0, 0)), pattern_of=np.zeros(0, dtype=int))
         assert write_trace(empty) == "step,neuron,pattern,strength\n"
 
     def test_round_trip_identity(self, trace):
@@ -204,35 +207,106 @@ class TestTraceSerialization:
         with pytest.raises(ParseError):
             read_trace(text)
 
+    @pytest.mark.parametrize(
+        "bad_row, line",
+        [
+            ("1,3,1", 4),  # short row
+            ("1,3,1,x", 4),  # bad number
+            ("2,2,1,0.0,7", 6),  # five fields
+            ("2,99999999999999999999,1,0.0", 6),  # label outside int64
+            ("1,3,-99999999999999999999,0.0", 4),
+            ("1,3,1,0.0", 5),  # out of order
+            ("2,3,2,0.0", 7),  # pattern drift
+        ],
+    )
+    def test_bad_row_names_its_line(self, bad_row, line):
+        rows = [f"{t},{i},1,0.0" for t in (1, 2) for i in (1, 2, 3)]
+        rows[line - 2] = bad_row
+        text = "\n".join(["step,neuron,pattern,strength", *rows]) + "\n"
+        with pytest.raises(ParseError, match=f"^line {line}: "):
+            read_trace(text)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [(0.0, 1.0), (0.0, -0.0)],
+        ids=["unequal", "signed-zero"],
+    )
+    def test_members_of_a_pattern_must_agree(self, first, second):
+        text = f"step,neuron,pattern,strength\n1,1,1,{first!r}\n1,2,1,{second!r}\n1,3,2,0.0\n"
+        with pytest.raises(AsymmetricPattern, match="pattern 1 members disagree at step 1"):
+            read_trace(text)
+
+    def test_pattern_labels_must_not_skip(self):
+        with pytest.raises(WrongShape):
+            read_trace("step,neuron,pattern,strength\n1,1,1,0.0\n1,2,3,0.0\n")
+
+    @given(
+        depth=st.integers(1, 6),
+        size=st.integers(1, 4),
+        unit=st.sampled_from([0.3, 1.0, 2.0]),
+        weight=st.sampled_from([0.0, 0.3, 1 / 3, 0.5, 0.7, 1.5]),
+        interval=st.integers(1, 3),
+        steps=st.integers(1, 25),
+        mode=st.sampled_from([MODE_SCHEDULED, MODE_FREE_RUN]),
+    )
+    def test_engine_traces_round_trip(self, depth, size, unit, weight, interval, steps, mode):
+        spec = build_linear(depth, size, unit, weight)
+        trace = run(spec, Schedule.staggered(depth, interval), steps, mode)
+        text = write_trace(trace)
+        recovered = read_trace(text)
+        assert write_trace(recovered) == text
+        assert recovered.strength.tobytes() == trace.strength.tobytes()
+        assert np.array_equal(recovered.pattern_of, trace.pattern_of)
+
+
+TRACE_LIKE_TEXT = st.lists(
+    st.lists(
+        st.sampled_from(
+            ["1", "2", "3", "0", "-1", "1.5", "0.0", "-0.0", "nan", "inf", "x", "", " 2",
+             "99999999999999999999"]
+        ),
+        min_size=2,
+        max_size=5,
+    ).map(",".join),
+    max_size=12,
+).map(lambda rows: "\n".join(["step,neuron,pattern,strength", *rows]))
+
+
+@given(st.one_of(st.text(), TRACE_LIKE_TEXT))
+def test_any_text_reads_as_trace_or_nestfire_error(text):
+    try:
+        trace = read_trace(text)
+    except NestfireError:
+        return
+    assert isinstance(trace, TraceTable)
+
 
 # A NaN whose payload differs from np.nan: other bits, same text.
 OTHER_NAN = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
 TINY = 5e-324
 
 
-def table(values, pattern_of, dtype=float):
+def table(strength, pattern_of, dtype=float):
     return TraceTable(
-        values=np.array(values, dtype=dtype), pattern_of=np.array(pattern_of, dtype=int)
+        strength=np.array(strength, dtype=dtype), pattern_of=np.array(pattern_of, dtype=int)
     )
 
 
+# Per-pattern tables: ``strength`` has one column per pattern.
 WRITER_CASES = {
-    "signed-zeros-in-one-pattern": table(
-        [[0.0, -0.0, -0.0, 0.0], [-0.0, 0.0, 0.0, 0.0]], [0, 0, 0, 0]
-    ),
+    "signed-zeros-in-one-pattern": table([[0.0], [-0.0], [0.0]], [0, 0, 0, 0]),
+    "signed-zeros-side-by-side": table([[0.0, -0.0], [-0.0, 0.0]], [0, 0, 1, 1]),
     "nan-inf-subnormal": table(
-        [[math.nan, math.nan, OTHER_NAN, math.inf, math.inf, -math.inf, TINY, TINY, 0.0]],
-        [0, 0, 0, 1, 1, 1, 2, 2, 2],
+        [[math.nan, OTHER_NAN, math.inf, -math.inf, TINY, 0.0]], [0, 0, 1, 2, 2, 3, 4, 4, 5]
     ),
-    "unequal-within-pattern": table([[1.0, 2.0, 2.0, 3.0], [7.5, 7.5, 0.1, 7.5]], [0, 0, 0, 0]),
-    "interleaved-patterns": table([[1.0, 1.0, 1.0, 2.0, 2.0, 1.0]], [0, 1, 0, 1, 2, 0]),
-    "zero-steps": table(np.zeros((0, 4)), [0, 0, 1, 1]),
+    "interleaved-patterns": table([[1.0, 2.0, 1.0]], [0, 1, 0, 1, 2, 0]),
+    "zero-steps": table(np.zeros((0, 2)), [0, 0, 1, 1]),
     "steps-without-neurons": table(np.zeros((3, 0)), []),
-    "float32": table([[0.1, 0.1, -0.0, 0.0, 1 / 3]], [0, 0, 1, 1, 2], dtype=np.float32),
-    "integer": table([[1, 1, 2], [0, 0, -(2**62)]], [0, 0, 1], dtype=np.int64),
-    "complex": table([[1j, 1j, -0.0, 0.0]], [0, 0, 1, 1], dtype=np.complex128),
+    "float32": table([[0.1, -0.0, 0.0, 1 / 3]], [0, 0, 1, 2, 3], dtype=np.float32),
+    "integer": table([[1, 2], [0, -(2**62)]], [0, 0, 1], dtype=np.int64),
+    "complex": table([[1j, -0.0, 0.0]], [0, 0, 1, 2], dtype=np.complex128),
     "strided-view": TraceTable(
-        values=np.repeat(np.arange(6.0).reshape(2, 3), 4, axis=1)[:, ::2],
+        strength=np.arange(12.0).reshape(2, 6)[:, ::2],
         pattern_of=np.array([0, 0, 1, 1, 2, 2]),
     ),
 }
@@ -242,18 +316,21 @@ SAMPLE_INTS = [0, 1, -1, 2**62]
 
 
 @st.composite
-def trace_tables(draw):
-    """Small tables of any shape, dtype and layout, with frequent equal neighbours."""
+def trace_tables(draw, dtypes=(np.float64, np.float32, np.int64)):
+    """Small per-pattern tables of any shape, dtype and layout, with the
+    patterns' members interleaved or side by side."""
     steps = draw(st.integers(0, 4))
-    width = draw(st.integers(0, 12))
+    labels = draw(st.lists(st.integers(0, 3), max_size=12))
+    # Renumber the labels drawn as 0..P-1 so that every pattern has a member.
+    pattern_of = np.unique(labels, return_inverse=True)[1].reshape(-1)
+    width = len(set(labels))
     stride = draw(st.sampled_from([1, 2]))
-    dtype = draw(st.sampled_from([np.float64, np.float32, np.int64]))
+    dtype = draw(st.sampled_from(dtypes))
     pool = SAMPLE_INTS if dtype is np.int64 else SAMPLE_FLOATS
     row = st.lists(st.sampled_from(pool), min_size=width * stride, max_size=width * stride)
     rows = draw(st.lists(row, min_size=steps, max_size=steps))
-    values = np.array(rows, dtype=dtype).reshape(steps, width * stride)[:, ::stride]
-    pattern_of = draw(st.lists(st.integers(0, 3), min_size=width, max_size=width))
-    return TraceTable(values=values, pattern_of=np.array(pattern_of, dtype=int))
+    strength = np.array(rows, dtype=dtype).reshape(steps, width * stride)[:, ::stride]
+    return TraceTable(strength=strength, pattern_of=pattern_of.astype(int))
 
 
 class TestWriterMatchesReference:
@@ -272,10 +349,25 @@ class TestWriterMatchesReference:
     def test_any_table(self, trace):
         assert write_trace(trace) == reference_write_trace(trace)
 
-    @pytest.mark.parametrize("width, labels", [(3, 1), (1, 3), (0, 1)])
-    def test_table_needs_one_pattern_per_neuron(self, width, labels):
+    @given(trace_tables(dtypes=(np.float64, np.float32)))
+    def test_float_tables_round_trip_as_text(self, trace):
+        text = write_trace(trace)
+        assert write_trace(read_trace(text)) == text
+
+    @pytest.mark.parametrize("patterns, labels", [(3, 1), (1, 3), (0, 1)])
+    def test_table_needs_one_pattern_per_neuron(self, patterns, labels):
+        # pattern_of = 0..labels-1 must name exactly the patterns 0..patterns-1.
         with pytest.raises(WrongShape):
-            TraceTable(values=np.zeros((2, width)), pattern_of=np.zeros(labels, dtype=int))
+            TraceTable(strength=np.zeros((2, patterns)), pattern_of=np.arange(labels))
+
+    @pytest.mark.parametrize(
+        "strength, pattern_of",
+        [(np.zeros(2), np.zeros(2, dtype=int)), (np.zeros((2, 1)), np.zeros((1, 2), dtype=int))],
+        ids=["one-dimensional-strength", "two-dimensional-pattern-of"],
+    )
+    def test_table_needs_a_matrix_and_a_map(self, strength, pattern_of):
+        with pytest.raises(WrongShape):
+            TraceTable(strength=strength, pattern_of=pattern_of)
 
 
 class TestGoldenComparison:
