@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import OutOfRange, SpecMismatch, ValidationError, WrongShape
-from .topology import EnsembleSpec, ancestors, members
+from .topology import EnsembleSpec, ancestors, members, validate
 
 __all__ = [
     "MODE_SCHEDULED",
@@ -142,15 +142,10 @@ def step(
     mode: str = MODE_SCHEDULED,
 ) -> SimState:
     """Advance the simulation by one step and return the new state."""
-    advance = _compile(spec, schedule, mode)
+    advance = _compile(spec, schedule, mode, state.step + 1)
     shape = (spec.num_patterns,)
-    if state.strength.shape != shape:
-        raise SpecMismatch(
-            f"state has {state.strength.shape[0]} pattern strengths,"
-            f" spec has {spec.num_patterns} patterns"
-        )
-    if state.active.shape != shape or state.ever_active.shape != shape:
-        raise SpecMismatch("state pattern flags disagree with spec pattern count")
+    if {state.strength.shape, state.active.shape, state.ever_active.shape} != {shape}:
+        raise SpecMismatch(f"state arrays need one entry for each of {spec.num_patterns} patterns")
     return advance(state)
 
 
@@ -163,7 +158,7 @@ def run(
     """Run ``steps`` steps from the all-zero state and collect the full trace."""
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
-    advance = _compile(spec, schedule, mode)
+    advance = _compile(spec, schedule, mode, steps)
     state = initial_state(spec)
     rows = np.empty((steps, spec.num_patterns))
     for row in rows:
@@ -215,27 +210,38 @@ def with_drive(state: SimState, drive: bool) -> SimState:
 
 
 def _compile(
-    spec: EnsembleSpec, schedule: Schedule, mode: str
+    spec: EnsembleSpec, schedule: Schedule, mode: str, steps: int
 ) -> Callable[[SimState], SimState]:
-    """Turn the nesting into per-pattern arrays once and return the step kernel."""
+    """Check a run of ``steps`` steps, compile it once and return the step kernel."""
     if mode not in (MODE_SCHEDULED, MODE_FREE_RUN):
         raise ValidationError(f"unknown mode {mode!r}")
+    violations = validate(spec)
+    if violations:
+        raise ValidationError("; ".join(violations))
     if len(schedule.activation_step) != spec.num_patterns:
         raise SpecMismatch(
             f"schedule covers {len(schedule.activation_step)} patterns,"
             f" spec has {spec.num_patterns}"
         )
-    num_patterns = spec.num_patterns
+    unit, weight = spec.excitatory_unit, spec.inhibitory_weight
+    largest = max(p.size for p in spec.patterns)
+    # No strength exceeds steps*unit*largest, nor a step's inhibition weight*unit*neurons.
+    try:
+        bound = max(steps * unit * largest, weight * unit * spec.num_neurons)
+    except OverflowError:  # a size or step count beyond float range
+        bound = np.inf
+    if not np.isfinite(bound):
+        raise ValidationError(f"excitatory_unit {unit} and inhibitory_weight {weight} overflow")
     sizes = np.array([p.size for p in spec.patterns])
     # Inhibition targets are looked up when a pattern first fires: a deep
     # chain has about depth**2 / 2 of them, and a short run needs few.
-    targets: list[np.ndarray | None] = [None] * num_patterns
+    targets: list[np.ndarray | None] = [None] * spec.num_patterns
     # Roots get -1, a valid index whose gate value np.where discards.
     parent = np.array([-1 if p.parent is None else p.parent for p in spec.patterns])
     is_root = parent < 0
     activation = np.array(schedule.activation_step)
-    excitation = spec.excitatory_unit * sizes
-    inhibition = spec.inhibitory_weight * spec.excitatory_unit * sizes
+    excitation = unit * sizes
+    inhibition = weight * unit * sizes
     free_run = mode == MODE_FREE_RUN
 
     def advance(state: SimState) -> SimState:
@@ -247,7 +253,7 @@ def _compile(
         # Inhibition is summed one firing pattern at a time, in ascending
         # order: for non-dyadic weights another order changes the low bits,
         # and traces are pinned byte for byte.
-        inh = np.zeros(num_patterns)
+        inh = np.zeros(spec.num_patterns)
         for q in np.flatnonzero(fires):
             if targets[q] is None:
                 targets[q] = np.array(ancestors(spec, q), dtype=np.intp)

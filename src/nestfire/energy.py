@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import accumulate
 from operator import mul
 
@@ -108,6 +109,13 @@ class WeightChain:
         """Neuron positions along the line (= hops + 1)."""
         return len(self.weights) + 1
 
+    @cached_property
+    def _costs(self) -> list[int]:
+        """Every position's centering cost, from prefix and suffix products."""
+        left = [0, *accumulate(self.weights, mul)]
+        right = [*accumulate(reversed(self.weights), mul)][::-1] + [0]
+        return [a + b for a, b in zip(left, right)]
+
 
 def required_output(hop: HopSpec, downstream_demand: float) -> float:
     """Output the feeder must emit so ``downstream_demand`` survives the hop."""
@@ -182,16 +190,12 @@ def centering_cost(chain: WeightChain, position: int) -> int:
     zero hops need zero firings."""
     if not 0 <= position < chain.num_positions:
         raise OutOfRange(f"position {position} not in 0..{chain.num_positions - 1}")
-    left = chain.weights[:position]
-    right = chain.weights[position:]
-    return (math.prod(left) if left else 0) + (math.prod(right) if right else 0)
+    return chain._costs[position]
 
 
 def best_center(chain: WeightChain) -> int:
-    """Lowest-index position of least centering cost, from prefix and suffix products."""
-    left = [0, *accumulate(chain.weights, mul)]
-    right = [*accumulate(reversed(chain.weights), mul)][::-1] + [0]
-    return min(range(chain.num_positions), key=lambda pos: left[pos] + right[pos])
+    """Lowest-index position of least centering cost."""
+    return chain._costs.index(min(chain._costs))
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,10 +25,6 @@ class NestfireError(Exception):
     """Base class for all nestfire errors."""
 
 
-class InvalidDimension(NestfireError, ValueError):
-    """An ensemble dimension (depth or pattern size) is zero or negative."""
-
-
 class UnknownPattern(NestfireError, LookupError):
     """A pattern index does not exist in the ensemble."""
 
@@ -67,3 +63,7 @@ class ParseError(NestfireError, ValueError):
 
 class ValidationError(NestfireError, ValueError):
     """A parsed document or an argument violates a domain invariant."""
+
+
+class InvalidDimension(ValidationError):
+    """A depth or pattern size is below 1, which no valid ensemble has."""

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import MODE_FREE_RUN, MODE_SCHEDULED, Schedule, TraceTable, golden_table
-from .errors import AsymmetricPattern, InvalidDimension, ParseError, ValidationError, WrongShape
+from .errors import AsymmetricPattern, ParseError, ValidationError, WrongShape
 from .topology import EnsembleSpec, build_linear, validate
 
 __all__ = [
@@ -109,8 +109,6 @@ def parse_scenario(text: str) -> Scenario:
     if sched_type == "staggered":
         _check_keys(sched, "schedule.", {"type", "interval"})
         interval = _get(sched, "interval", int, "schedule.")
-        if interval < 1:
-            raise ValidationError(f"schedule.interval must be >= 1, got {interval}")
     elif sched_type == "explicit":
         _check_keys(sched, "schedule.", {"type", "steps"})
         explicit = _get(sched, "steps", list, "schedule.")
@@ -126,10 +124,7 @@ def parse_scenario(text: str) -> Scenario:
 
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
-    try:
-        spec = build_linear(depth, pattern_size, excitatory_unit, inhibitory_weight)
-    except InvalidDimension as exc:
-        raise ValidationError(str(exc)) from exc
+    spec = build_linear(depth, pattern_size, excitatory_unit, inhibitory_weight)
     violations = validate(spec)
     if violations:
         raise ValidationError("; ".join(violations))

@@ -50,7 +50,8 @@ class EnsembleSpec:
     of that unit carried by each inhibitory signal.
 
     Construction does not reject invalid structures; run :func:`validate`
-    to collect violations. Instances are immutable and safe to share.
+    to collect violations. ``run`` and ``step`` refuse any spec that
+    ``validate`` faults. Instances are immutable and safe to share.
     """
 
     patterns: tuple[PatternSpec, ...]
@@ -107,14 +108,12 @@ def ancestors(spec: EnsembleSpec, pattern: int) -> list[int]:
     """
     _check_pattern(spec, pattern)
     chain: list[int] = []
-    seen = {pattern}
     current = spec.patterns[pattern].parent
     while current is not None:
-        if current in seen or not 0 <= current < spec.num_patterns:
-            # Invalid spec (cycle or dangling parent); refuse to loop forever.
+        # A valid chain has fewer than P ancestors; a longer walk is a cycle.
+        if len(chain) == spec.num_patterns or not 0 <= current < spec.num_patterns:
             raise ValidationError(f"nesting cycle or dangling parent at pattern {current}")
         chain.append(current)
-        seen.add(current)
         current = spec.patterns[current].parent
     return chain
 
@@ -131,6 +130,13 @@ def validate(spec: EnsembleSpec) -> list[str]:
     n_pat = spec.num_patterns
     if n_pat == 0:
         violations.append("ensemble has no patterns")
+    # Pointer doubling: a root links to the sentinel n_pat, a missing parent to itself.
+    jump = [
+        n_pat if p.parent is None else p.parent if 0 <= p.parent < n_pat else pos
+        for pos, p in enumerate(spec.patterns)
+    ] + [n_pat]
+    for _ in range(n_pat.bit_length()):
+        jump = [jump[j] for j in jump]
     for pos, pat in enumerate(spec.patterns):
         if pat.id != pos:
             violations.append(f"pattern at position {pos} has id {pat.id}")
@@ -138,16 +144,8 @@ def validate(spec: EnsembleSpec) -> list[str]:
             violations.append(f"empty pattern {pos}")
         if pat.parent is not None and not 0 <= pat.parent < n_pat:
             violations.append(f"pattern {pos} parent {pat.parent} does not exist")
-    # Cycle check: follow parent links from every pattern, bounded by n_pat.
-    for start in range(n_pat):
-        seen = set()
-        current: int | None = start
-        while current is not None and 0 <= current < n_pat:
-            if current in seen:
-                violations.append(f"nesting cycle through pattern {start}")
-                break
-            seen.add(current)
-            current = spec.patterns[current].parent
+        elif jump[pos] != n_pat:
+            violations.append(f"no root above pattern {pos}: nesting cycle or missing parent")
     unit, weight = spec.excitatory_unit, spec.inhibitory_weight
     if not (math.isfinite(unit) and unit > 0):
         violations.append(f"excitatory_unit must be finite and > 0, got {unit}")

@@ -2,12 +2,15 @@
 
 Deliberately written without numpy and without touching the library's
 update code: plain per-pattern loops over a linear chain, exploiting the
-symmetry that all members of one pattern share the same strength, and a
-per-neuron trace formatter. Expected values frozen into the tests were
+symmetry that all members of one pattern share the same strength, a
+per-neuron trace formatter, a step-by-step walk up the parent links and
+the slice-product centering cost. Expected values frozen into the tests were
 computed with these functions.
 """
 
 from __future__ import annotations
+
+import math
 
 
 def reference_run(
@@ -78,3 +81,26 @@ def brute_force_chain_firings(weights: list[int]) -> int:
                 pulse = 1
         if pulse == 1:
             return firings
+
+
+def reaches_root(parents: list[int | None], pattern: int) -> bool:
+    """Whether following parent links up from ``pattern`` ends at a root.
+
+    A walk that meets a parent outside 0..P-1, or takes P steps without
+    reaching a root (so it has gone round a cycle), does not."""
+    current = pattern
+    for _ in range(len(parents)):
+        parent = parents[current]
+        if parent is None:
+            return True
+        if not 0 <= parent < len(parents):
+            return False
+        current = parent
+    return False
+
+
+def reference_centering_cost(weights: list[int], position: int) -> int:
+    """Product of the weights on each side of ``position``, summed; an empty
+    side costs 0."""
+    left, right = weights[:position], weights[position:]
+    return (math.prod(left) if left else 0) + (math.prod(right) if right else 0)

@@ -78,7 +78,7 @@ class TestSimulate:
         assert err.startswith("nestfire: error:")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e308"])
     def test_non_finite_parameter_is_invalid_input(self, capsys, tmp_path, scenario_file, literal):
         bad = tmp_path / "bad.scenario"
         bad.write_text(scenario_file.read_text().replace("1.0", literal))

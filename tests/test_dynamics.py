@@ -5,6 +5,8 @@ reference loop in oracles.py and frozen here; the golden strength table
 values come from the shipped fixture.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,12 +16,12 @@ from nestfire import (
     MODE_FREE_RUN,
     MODE_SCHEDULED,
     EnsembleSpec,
-    NestfireError,
     OutOfRange,
     PatternSpec,
     Schedule,
     SimState,
     SpecMismatch,
+    ValidationError,
     WrongShape,
     ancestors,
     build_linear,
@@ -39,6 +41,35 @@ from oracles import expand_to_neurons, reference_run
 STANDARD = build_linear(5, 5, 1.0, 0.5)
 STAGGERED = Schedule.staggered(5)
 CYCLIC = EnsembleSpec((PatternSpec(0, 1, 1), PatternSpec(1, 0, 1)), 1.0, 0.5)
+DANGLING = EnsembleSpec((PatternSpec(0, None, 2), PatternSpec(1, 5, 2)), 1.0, 0.5)
+NEGATIVE_SIZE = EnsembleSpec((PatternSpec(0, None, 2), PatternSpec(1, 0, -1)), 1.0, 0.5)
+NAN_UNIT = build_linear(2, 2, float("nan"), 0.5)
+# Runs that run and step must both refuse, as (spec, schedule, steps, mode).
+INVALID_RUNS = {
+    "dangling-parent": (DANGLING, Schedule.staggered(2), 3, MODE_FREE_RUN),
+    "negative-size": (NEGATIVE_SIZE, Schedule.staggered(2), 3, MODE_SCHEDULED),
+    "cycle-never-firing": (CYCLIC, Schedule((10, 10)), 3, MODE_SCHEDULED),
+    "nan-unit": (NAN_UNIT, Schedule.staggered(2), 3, MODE_SCHEDULED),
+    "unit-overflows": (build_linear(2, 2, 1e308, 0.5), Schedule.staggered(2), 3, MODE_SCHEDULED),
+    "weight-overflows": (build_linear(2, 2, 1.0, 1e308), Schedule.staggered(2), 1, MODE_SCHEDULED),
+    "size-beyond-float": (build_linear(1, 10**400, 1.0, 0.5), Schedule((1,)), 1, MODE_SCHEDULED),
+}
+
+
+def first_step(spec, schedule, steps, mode):
+    return step(initial_state(spec), spec, schedule, mode)
+
+
+INVALID_CALLS = {
+    "nesting-cycle": lambda: ancestors(CYCLIC, 0),
+    "activation-step": lambda: Schedule((1, 0)),
+    "interval": lambda: Schedule.staggered(3, 0),
+    "mode": lambda: step(initial_state(STANDARD), STANDARD, STAGGERED, mode="warp"),
+    "steps": lambda: run(STANDARD, STAGGERED, 0),
+    "steps-beyond-float": lambda: run(STANDARD, STAGGERED, 10**400),
+    **{f"run-{name}": partial(run, *case) for name, case in INVALID_RUNS.items()},
+    **{f"step-{name}": partial(first_step, *case) for name, case in INVALID_RUNS.items()},
+}
 
 
 def run_steps(spec, schedule, steps, mode=MODE_SCHEDULED):
@@ -78,19 +109,9 @@ class TestStep:
         with pytest.raises(ValueError):
             step(initial_state(STANDARD), STANDARD, STAGGERED, mode="warp")
 
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda: ancestors(CYCLIC, 0),
-            lambda: Schedule((1, 0)),
-            lambda: Schedule.staggered(3, 0),
-            lambda: step(initial_state(STANDARD), STANDARD, STAGGERED, mode="warp"),
-            lambda: run(STANDARD, STAGGERED, 0),
-        ],
-        ids=["nesting-cycle", "activation-step", "interval", "mode", "steps"],
-    )
+    @pytest.mark.parametrize("call", INVALID_CALLS.values(), ids=INVALID_CALLS.keys())
     def test_invalid_arguments_raise_nestfire_error(self, call):
-        with pytest.raises(NestfireError):
+        with pytest.raises(ValidationError):
             call()
 
     def test_inputs_not_mutated(self):

@@ -33,7 +33,7 @@ from nestfire import (
     required_output,
     stigmergy_reinforce,
 )
-from oracles import brute_force_chain_firings
+from oracles import brute_force_chain_firings, reference_centering_cost
 
 weight_lists = st.lists(st.integers(1, 5), min_size=1, max_size=6)
 
@@ -182,6 +182,12 @@ class TestCenteringCost:
         with pytest.raises(OutOfRange):
             centering_cost(self.CHAIN, -1)
 
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=12))
+    def test_matches_the_slice_product_formula(self, weights):
+        chain = WeightChain(tuple(weights))
+        for pos in range(chain.num_positions):
+            assert centering_cost(chain, pos) == reference_centering_cost(weights, pos)
+
     @given(weight_lists, st.integers(1, 5))
     def test_appending_a_hop_never_cheapens_existing_positions(self, weights, extra):
         chain = WeightChain(tuple(weights))
@@ -231,7 +237,8 @@ class TestBestCenter:
     def test_matches_the_cheapest_position_by_cost(self, weights):
         chain = WeightChain(tuple(weights))
         positions = range(chain.num_positions)
-        assert best_center(chain) == min(positions, key=lambda pos: centering_cost(chain, pos))
+        cheapest = min(positions, key=lambda pos: reference_centering_cost(weights, pos))
+        assert best_center(chain) == cheapest
 
 
 class TestLayout:

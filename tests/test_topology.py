@@ -1,5 +1,7 @@
 """Nesting structure: chain construction, ancestor/member queries, validation."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,11 +11,30 @@ from nestfire import (
     InvalidDimension,
     PatternSpec,
     UnknownPattern,
+    ValidationError,
     ancestors,
     build_linear,
     members,
     validate,
 )
+from oracles import reaches_root
+
+
+@st.composite
+def parent_links(draw):
+    """Parent links of 1..60 patterns: roots, self-loops, links to any index
+    in or just outside 0..P-1, and long chains with a few links redrawn."""
+    n = draw(st.integers(1, 60))
+    link = st.one_of(st.none(), st.integers(-2, n + 1), st.just("self"))
+    if draw(st.booleans()):
+        parents = [None, *range(n - 1)]
+        edits = draw(st.lists(st.tuples(st.integers(0, n - 1), link), max_size=3))
+    else:
+        parents = [None] * n
+        edits = list(enumerate(draw(st.lists(link, min_size=n, max_size=n))))
+    for k, parent in edits:
+        parents[k] = k if parent == "self" else parent
+    return parents
 
 
 class TestBuildLinear:
@@ -128,6 +149,25 @@ class TestValidate:
         )
         assert validate(spec) == []
         assert ancestors(spec, 2) == [0]
+
+    @given(parent_links())
+    def test_flags_exactly_the_patterns_that_never_reach_a_root(self, parents):
+        spec = EnsembleSpec(tuple(PatternSpec(k, p, 1) for k, p in enumerate(parents)), 1.0, 0.5)
+        violations = validate(spec)
+        flagged = {int(re.search(r"pattern (\d+)", v)[1]) for v in violations}
+        assert len(flagged) == len(violations)
+        assert flagged == {k for k in range(len(parents)) if not reaches_root(parents, k)}
+        for k in range(len(parents)):
+            if k in flagged:
+                with pytest.raises(ValidationError):
+                    ancestors(spec, k)
+            else:
+                assert len(ancestors(spec, k)) < len(parents)
+
+    def test_every_pattern_of_a_long_ring_is_flagged(self):
+        ring = [PatternSpec(k, k - 1 if k else 4999, 1) for k in range(5000)]
+        violations = validate(EnsembleSpec(tuple(ring), 1.0, 0.5))
+        assert len(violations) == 5000 and all("cycle" in v for v in violations)
 
 
 @given(depth=st.integers(1, 8), size=st.integers(1, 6))
