@@ -5,6 +5,7 @@ or property failure, 2 invalid input."""
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -83,11 +84,18 @@ def dispatch(argv: list[str]) -> int:
 
 def _cmd_simulate(args) -> int:
     trace = run(*parse_scenario(Path(args.scenario).read_text()))
-    output = write_trace(trace)
+    # The trace streams to its destination, which is opened only once the run has succeeded.
     if args.out:
-        Path(args.out).write_text(output)
-    else:
-        sys.stdout.write(output)
+        with open(args.out, "w") as out:
+            write_trace(trace, out)
+        return 0
+    try:
+        write_trace(trace, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early (``| head``): stop quietly. Point stdout at
+        # devnull so that the flush at exit does not fail on the same pipe.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 
@@ -113,7 +121,7 @@ def _cmd_counter(args) -> int:
 
 def _cmd_chain(args) -> int:
     chain = WeightChain(_parse_ints(args.hops, "--hops"))
-    product = chain_source_firings(chain)
+    product = _printable(chain_source_firings(chain), "--hops")
     oracle = event_oracle(hops_from_weights(chain))
     print(f"product={product} oracle={oracle}")
     return 0 if product == oracle else 1
@@ -122,6 +130,7 @@ def _cmd_chain(args) -> int:
 def _cmd_center(args) -> int:
     chain = WeightChain(_parse_ints(args.weights, "--weights"))
     costs = [centering_cost(chain, pos) for pos in range(chain.num_positions)]
+    _printable(max(costs), "--weights")
     best = best_center(chain)
     print("costs=" + ",".join(str(c) for c in costs))
     print(f"best={best + 1}")
@@ -155,6 +164,19 @@ def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise ValidationError(f"{flag} expects comma-separated integers, got {text!r}") from exc
+
+
+def _printable(value: int, flag: str) -> int:
+    """``value``, refused when it has more digits than Python converts to
+    text (``sys.get_int_max_str_digits()``, 4300 by default)."""
+    try:
+        str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValidationError(
+            f"{flag} yield a number of more than {limit} digits, too long to print"
+        ) from None
+    return value
 
 
 _COMMANDS = {

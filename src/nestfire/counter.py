@@ -23,6 +23,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import InvalidDepth
+from .topology import check_rows
 
 __all__ = [
     "Phase",
@@ -105,3 +106,4 @@ def _state_at(spec: CounterSpec, t: int) -> CounterState:
 def _check_depth(spec: CounterSpec) -> None:
     if spec.depth < 1:
         raise InvalidDepth(f"counter depth must be >= 1, got {spec.depth}")
+    check_rows("counter depth", spec.depth)  # one count event per level

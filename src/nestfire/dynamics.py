@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import OutOfRange, SpecMismatch, ValidationError, WrongShape
-from .topology import EnsembleSpec, ancestors, members, validate
+from .topology import EnsembleSpec, ancestors, check_rows, members, validate
 
 __all__ = [
     "MODE_SCHEDULED",
@@ -155,10 +155,12 @@ def run(
     steps: int,
     mode: str = MODE_SCHEDULED,
 ) -> TraceTable:
-    """Run ``steps`` steps from the all-zero state and collect the full trace."""
+    """Run ``steps`` steps from the all-zero state and collect the full trace.
+    A run of more than ``topology.MAX_ROWS`` steps x neurons is refused."""
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
     advance = _compile(spec, schedule, mode, steps)
+    check_rows("steps x neurons", steps, spec.num_neurons)
     state = initial_state(spec)
     rows = np.empty((steps, spec.num_patterns))
     for row in rows:

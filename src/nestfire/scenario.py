@@ -20,13 +20,13 @@ from functools import partial
 from importlib import resources
 from itertools import groupby
 from operator import itemgetter
-from typing import NamedTuple
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
 from .dynamics import MODE_FREE_RUN, MODE_SCHEDULED, Schedule, TraceTable, golden_table
 from .errors import AsymmetricPattern, ParseError, ValidationError, WrongShape
-from .topology import EnsembleSpec, build_linear, validate
+from .topology import EnsembleSpec, build_linear, check_rows, validate
 
 __all__ = [
     "Scenario",
@@ -124,6 +124,8 @@ def parse_scenario(text: str) -> Scenario:
 
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
+    # Refused before the ensemble is built, not only before it runs.
+    check_rows("steps x depth x pattern_size", steps, depth, pattern_size)
     spec = build_linear(depth, pattern_size, excitatory_unit, inhibitory_weight)
     violations = validate(spec)
     if violations:
@@ -178,23 +180,28 @@ def standard_scenario() -> Scenario:
     )
 
 
-def write_trace(trace: TraceTable) -> str:
+def write_trace(trace: TraceTable, out: TextIO | None = None) -> str | None:
     """Long-form CSV: one row per (step, neuron), 1-based labels, shortest
     round-trip decimals, deterministic bytes. Each block of neighbouring
-    neurons in one pattern has its strength formatted once per step."""
+    neurons in one pattern has its strength formatted once per step.
+
+    With a text handle ``out``, the header and then each step's rows go to it
+    one write at a time, so memory holds one step's text, and None is
+    returned. Without one, the whole text is returned as a string."""
     blocks = [
         (p, [f"{i},{p + 1}," for i, _ in members])
         for p, members in groupby(enumerate(trace.pattern_of.tolist(), start=1), key=itemgetter(1))
     ]
-    # A row of numbers and a joined string per step keep peak memory near the output size.
-    steps = [TRACE_HEADER + "\n"]
+    parts: list[str] = []
+    write = parts.append if out is None else out.write
+    write(TRACE_HEADER + "\n")
     for t, row in enumerate(map(np.ndarray.tolist, trace.strength), start=1):
         head, chunks = f"{t},", []
         for p, labels in blocks:
             tail = f"{row[p]!r}\n"
             chunks += (head, (tail + head).join(labels), tail)
-        steps.append("".join(chunks))
-    return "".join(steps)
+        write("".join(chunks))
+    return "".join(parts) if out is None else None
 
 
 def read_trace(text: str) -> TraceTable:

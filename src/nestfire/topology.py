@@ -31,6 +31,10 @@ __all__ = [
     "validate",
 ]
 
+# The most rows one request may produce: steps x neurons of a trace, or the
+# count events of a counter. A larger request fails before it allocates.
+MAX_ROWS = 10**7
+
 
 @dataclass(frozen=True)
 class PatternSpec:
@@ -152,6 +156,13 @@ def validate(spec: EnsembleSpec) -> list[str]:
     if not (math.isfinite(weight) and weight >= 0):
         violations.append(f"inhibitory_weight must be finite and >= 0, got {weight}")
     return violations
+
+
+def check_rows(what: str, *factors: int) -> None:
+    """Refuse a request for more than MAX_ROWS rows, the product of
+    ``factors``; ``what`` names the factors in the message."""
+    if math.prod(factors) > MAX_ROWS:
+        raise ValidationError(f"{what} exceeds the budget of {MAX_ROWS} rows")
 
 
 def _check_pattern(spec: EnsembleSpec, pattern: int) -> None:

@@ -1,14 +1,34 @@
 """Command-line behavior: output formats, exit codes, determinism."""
 
 import argparse
+import json
 import subprocess
 import sys
 from importlib import resources
 
 import pytest
 
-from nestfire import ValidationError, cli
+from nestfire import ValidationError, cli, topology
 from nestfire.cli import dispatch
+
+
+def write_scenario_file(path, depth, size, steps, unit=1.0, mode="scheduled"):
+    """A staggered linear-chain scenario document at ``path``."""
+    ensemble = {
+        "depth": depth,
+        "pattern_size": size,
+        "excitatory_unit": unit,
+        "inhibitory_weight": 0.5,
+        "nesting": "linear",
+    }
+    doc = {
+        "ensemble": ensemble,
+        "schedule": {"type": "staggered", "interval": 1},
+        "steps": steps,
+        "mode": mode,
+    }
+    path.write_text(json.dumps(doc))
+    return path
 
 
 @pytest.fixture
@@ -88,6 +108,58 @@ class TestSimulate:
         assert err.startswith("nestfire: error:") and "excitatory_unit" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "depth, size, steps, unit, mode",
+        [
+            (5, 5, 0, 1.0, "scheduled"),
+            (5, 5, 5, 1.0, "sideways"),
+            (2, 2, 3, 1e308, "scheduled"),
+            (5, 10**12, 1, 1.0, "scheduled"),
+        ],
+        ids=["zero-steps", "unknown-mode", "overflow", "over-budget"],
+    )
+    def test_failed_run_leaves_no_out_file(self, capsys, tmp_path, depth, size, steps, unit, mode):
+        scenario = write_scenario_file(tmp_path / "bad.scenario", depth, size, steps, unit, mode)
+        out = tmp_path / "trace.csv"
+        assert dispatch(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 2
+        assert not out.exists()
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith("nestfire: error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "depth, size, steps",
+        [(5, 10**12, 1), (10**9, 1, 1), (5, 5, 10**9), (1, 1, topology.MAX_ROWS + 1)],
+        ids=["wide", "deep", "long", "one-row-over"],
+    )
+    def test_oversized_scenario_is_refused_before_it_is_built(
+        self, capsys, tmp_path, depth, size, steps
+    ):
+        # Each of these would allocate gigabytes at least; refused, they allocate nothing.
+        scenario = write_scenario_file(tmp_path / "big.scenario", depth, size, steps)
+        assert dispatch(["simulate", "--scenario", str(scenario)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"nestfire: error: steps x depth x pattern_size exceeds the budget of"
+            f" {topology.MAX_ROWS} rows\n"
+        )
+
+    def test_closed_stdout_stays_quiet(self, tmp_path):
+        # 50 000 rows, far more than a pipe buffers: the reader leaves while
+        # the writer still has most of the trace to send.
+        scenario = write_scenario_file(tmp_path / "wide.scenario", 5, 1000, 10)
+        child = subprocess.Popen(
+            [sys.executable, "-m", "nestfire", "simulate", "--scenario", str(scenario)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert child.stdout.readline() == b"step,neuron,pattern,strength\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait() == 0
+        assert err == b""
+
     def test_non_utf8_scenario_is_invalid_input(self, capsys, tmp_path):
         path = tmp_path / "latin1.scenario"
         path.write_bytes(b'{"mode": "caf\xe9"}')
@@ -110,6 +182,13 @@ class TestCounter:
     def test_zero_depth_rejected(self, capsys):
         assert dispatch(["counter", "--depth", "0"]) == 2
         assert "depth" in capsys.readouterr().err
+
+    def test_depth_over_budget_refused(self, capsys):
+        depth = topology.MAX_ROWS + 1
+        assert dispatch(["counter", "--depth", str(depth)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"nestfire: error: counter depth exceeds the budget of {depth - 1} rows\n"
 
 
 class TestChain:
@@ -141,6 +220,14 @@ class TestChain:
         assert err.startswith("nestfire: error:") and "source firings" in err
         assert err.count("\n") == 1
 
+    def test_product_too_long_to_print_names_the_flag(self, capsys):
+        # 1000**1500 has 4501 digits, over the 4300 Python converts to text by default.
+        assert dispatch(["chain", "--hops", ",".join(["1000"] * 1500)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("nestfire: error: --hops ") and "digits" in err
+        assert err.count("\n") == 1
+
 
 class TestCenter:
     def test_reference_line(self, capsys):
@@ -152,6 +239,19 @@ class TestCenter:
     def test_single_hop(self, capsys):
         assert dispatch(["center", "--weights", "7"]) == 0
         assert capsys.readouterr().out == "costs=7,7\nbest=1\n"
+
+    @pytest.mark.parametrize(
+        "weights",
+        [["3"] * 10_000, ["1", "9" * 4300]],
+        ids=["long-product", "cost-one-digit-longer-than-the-product"],
+    )
+    def test_cost_too_long_to_print_names_the_flag(self, capsys, weights):
+        # 3**10000 has 4772 digits; 1 + (10**4300 - 1) has 4301.
+        assert dispatch(["center", "--weights", ",".join(weights)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("nestfire: error: --weights ") and "digits" in err
+        assert err.count("\n") == 1
 
 
 class TestLayout:

@@ -12,12 +12,14 @@ from nestfire import (
     InvalidDepth,
     Phase,
     Schedule,
+    ValidationError,
     build_linear,
     initial_state,
     run_counter,
     start,
     step,
     tick,
+    topology,
 )
 
 
@@ -106,6 +108,13 @@ class TestRunCounter:
         events, final = run_counter(CounterSpec(depth=1))
         assert [(e.level, e.tick) for e in events] == [(1, 1)]
         assert final.tick == 3
+
+    def test_depth_over_the_row_budget_is_refused(self, monkeypatch):
+        monkeypatch.setattr(topology, "MAX_ROWS", 3)
+        assert len(run_counter(CounterSpec(depth=3))[0]) == 3
+        for call in (run_counter, start):
+            with pytest.raises(ValidationError, match="counter depth exceeds the budget of 3"):
+                call(CounterSpec(depth=4))
 
     def test_label_is_carried_on_spec(self):
         spec = CounterSpec(depth=2, label="refractory-timer")

@@ -33,6 +33,7 @@ from nestfire import (
     run,
     step,
     table1_fixture,
+    topology,
     with_drive,
     write_trace,
 )
@@ -146,6 +147,18 @@ class TestRun:
     def test_steps_below_one_rejected(self):
         with pytest.raises(ValueError):
             run(STANDARD, STAGGERED, 0)
+
+    def test_run_over_the_row_budget_is_refused_before_allocating(self):
+        # One pattern of 10**12 neurons: validate and the overflow bound accept it.
+        spec = EnsembleSpec((PatternSpec(0, None, 10**12),), 1.0, 0.5)
+        with pytest.raises(ValidationError, match="steps x neurons exceeds the budget"):
+            run(spec, Schedule((1,)), 1)
+
+    def test_row_budget_boundary(self, monkeypatch):
+        monkeypatch.setattr(topology, "MAX_ROWS", 50)
+        assert run(STANDARD, STAGGERED, 2).num_steps == 2  # 2 steps x 25 neurons
+        with pytest.raises(ValidationError, match="budget of 50 rows"):
+            run(STANDARD, STAGGERED, 3)
 
     def test_pattern_of_layout(self):
         trace = run(STANDARD, STAGGERED, 2)

@@ -154,7 +154,10 @@ class TestEventOracle:
         assert event_oracle(hops_from_weights(chain)) == product
         assert brute_force_chain_firings(weights) == product
 
-    @pytest.mark.parametrize("weights", [(1001, 1000), (1000, 1000, 1000), (10**6 + 1,)])
+    # The last product has 4501 digits, more than Python converts to text by default.
+    @pytest.mark.parametrize(
+        "weights", [(1001, 1000), (1000, 1000, 1000), (10**6 + 1,), (1000,) * 1500]
+    )
     def test_replays_over_a_million_firings_are_refused(self, weights):
         with pytest.raises(ValidationError, match="source firings"):
             event_oracle(hops_from_weights(WeightChain(weights)))

@@ -31,10 +31,12 @@ from nestfire import (
     run,
     standard_scenario,
     table1_fixture,
+    topology,
     write_scenario,
     write_trace,
 )
 from oracles import expand_to_neurons, reference_run, reference_write_trace
+from test_trace_digests import CASES as DIGEST_CASES
 
 
 def shipped_scenario_text():
@@ -111,6 +113,17 @@ class TestParseScenario:
         doc["steps"] = 0
         with pytest.raises(ValidationError, match="steps"):
             parse_scenario(json.dumps(doc))
+
+    def test_row_budget_is_checked_before_building(self, monkeypatch):
+        doc = standard_doc()  # 5 steps x 5 patterns x 5 neurons
+        monkeypatch.setattr(topology, "MAX_ROWS", 125)
+        assert parse_scenario(json.dumps(doc)) == standard_scenario()
+        doc["ensemble"]["depth"] = 10**12  # would take hours to build
+        with pytest.raises(ValidationError, match="steps x depth x pattern_size exceeds"):
+            parse_scenario(json.dumps(doc))
+        monkeypatch.setattr(topology, "MAX_ROWS", 124)
+        with pytest.raises(ValidationError, match="budget of 124 rows"):
+            parse_scenario(shipped_scenario_text())
 
     def test_schedule_length_must_match_depth(self):
         doc = standard_doc()
@@ -368,6 +381,56 @@ class TestWriterMatchesReference:
     def test_table_needs_a_matrix_and_a_map(self, strength, pattern_of):
         with pytest.raises(WrongShape):
             TraceTable(strength=strength, pattern_of=pattern_of)
+
+
+class Recorder:
+    """A text handle that keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+def digest_trace(depth, size, unit, weight, schedule, steps, mode):
+    """The trace behind one case of test_trace_digests.CASES."""
+    if isinstance(schedule, int):
+        activation = Schedule.staggered(depth, schedule)
+    else:
+        activation = Schedule(schedule)
+    return run(build_linear(depth, size, unit, weight), activation, steps, mode)
+
+
+class TestStreamingWriter:
+    """A handle gets the same text as the string form, one step at a time."""
+
+    @staticmethod
+    def check_streams(trace):
+        handle = Recorder()
+        assert write_trace(trace, handle) is None
+        assert "".join(handle.writes) == write_trace(trace)
+        for text in handle.writes:
+            rows = text.splitlines()
+            if rows[:1] == ["step,neuron,pattern,strength"]:
+                rows = rows[1:]
+            assert len({row.split(",", 1)[0] for row in rows}) <= 1, "one write, many steps"
+        return handle.writes
+
+    @pytest.mark.parametrize("case", list(DIGEST_CASES), ids=lambda case: "-".join(map(str, case)))
+    def test_digest_scenarios(self, case):
+        trace = digest_trace(*case)
+        writes = self.check_streams(trace)
+        assert len(writes) == 1 + trace.num_steps
+
+    @pytest.mark.parametrize("name", list(WRITER_CASES))
+    def test_edge_case_tables(self, name):
+        self.check_streams(WRITER_CASES[name])
+
+    def test_header_only_trace_writes_the_header(self):
+        empty = TraceTable(strength=np.zeros((0, 0)), pattern_of=np.zeros(0, dtype=int))
+        assert self.check_streams(empty) == ["step,neuron,pattern,strength\n"]
 
 
 class TestGoldenComparison:
