@@ -18,24 +18,41 @@ builds:
 
 Everything is pure-functional over immutable values; identical inputs give
 byte-identical outputs.
+
+Modules load on first use: ``import nestfire`` imports none of them, and a
+public name such as ``nestfire.CounterSpec`` imports only the modules
+searched to find it. ``errors``, ``topology``, ``counter`` and ``energy``
+are searched first and do not import numpy; ``dynamics`` and ``scenario``
+do. Asking for ``__all__`` (or ``from nestfire import *``) loads them all.
 """
 
-from . import counter, dynamics, energy, errors, scenario, topology
-from .counter import *
-from .dynamics import *
-from .energy import *
-from .errors import *
-from .scenario import *
-from .topology import *
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    *topology.__all__,
-    *dynamics.__all__,
-    *counter.__all__,
-    *energy.__all__,
-    *scenario.__all__,
-    *errors.__all__,
-]
+# Searched in this order for a public name: the numpy-free modules first.
+_MODULES = ("errors", "topology", "counter", "energy", "dynamics", "scenario")
+
+
+def __getattr__(name: str):
+    if name == "__all__":
+        value = ["__version__", *(n for m in _MODULES for n in _submodule(m).__all__)]
+    elif name in _MODULES or name == "cli":
+        value = _submodule(name)
+    else:
+        # No public name starts with "_", so probes for dunders load nothing.
+        owners = () if name.startswith("_") else map(_submodule, _MODULES)
+        owner = next((m for m in owners if name in m.__all__), None)
+        if owner is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(owner, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__getattr__("__all__")})
+
+
+def _submodule(name: str):
+    return import_module(f".{name}", __name__)

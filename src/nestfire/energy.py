@@ -19,8 +19,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate
 from operator import mul
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import AttenuatedOut, DegenerateLayout, OutOfRange, ValidationError
 
@@ -44,6 +43,11 @@ __all__ = [
     "stigmergy_reinforce",
     "most_reinforced",
 ]
+
+# numpy is imported inside the layout code that uses it, so the chain and
+# centering code loads without it.
+if TYPE_CHECKING:
+    import numpy as np
 
 _MAX_ORACLE_FIRINGS = 10**6  # event_oracle replays a million in about half a second
 
@@ -207,6 +211,8 @@ class GroupLayout:
     terminal: int
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         nodes = np.asarray(self.nodes, dtype=float)
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 2 or nodes.shape[1] != 2 or nodes.shape[0] < 1:
@@ -240,6 +246,8 @@ class LayoutSpec:
     @property
     def separation(self) -> float:
         """Center-to-center distance between the two groups."""
+        import numpy as np
+
         return float(np.linalg.norm(self.group_b.center - self.group_a.center))
 
 
@@ -251,6 +259,8 @@ def layout_distances(layout: LayoutSpec) -> tuple[float, float]:
     center onto the far edge. Shorter inward distance is what makes the
     facing arrangement cheaper to wire and quicker to reinforce.
     """
+    import numpy as np
+
     if layout.separation < 1e-12:
         raise DegenerateLayout("the two groups coincide")
     inward = float(
@@ -270,6 +280,8 @@ def random_mirrored_layout(
 ) -> LayoutSpec:
     """Random facing pair: group_b is group_a point-reflected through the
     midpoint between centers, so the terminals sit on the facing edges."""
+    import numpy as np
+
     if num_nodes < 2:
         raise ValidationError(f"need at least 2 nodes per group, got {num_nodes}")
     if radius <= 0 or separation <= 0:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
@@ -84,6 +85,11 @@ def parse_scenario(text: str) -> Scenario:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError:  # from int(): a literal longer than Python converts
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"an integer literal has more than {limit} digits") from None
+    except RecursionError:
+        raise ParseError("document nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("scenario document must be a JSON object")
     _check_keys(doc, "", {"ensemble", "schedule", "steps", "mode"})
@@ -96,8 +102,8 @@ def parse_scenario(text: str) -> Scenario:
     )
     depth = _get(ens, "depth", int, "ensemble.")
     pattern_size = _get(ens, "pattern_size", int, "ensemble.")
-    excitatory_unit = float(_get(ens, "excitatory_unit", (int, float), "ensemble."))
-    inhibitory_weight = float(_get(ens, "inhibitory_weight", (int, float), "ensemble."))
+    excitatory_unit = _get_float(ens, "excitatory_unit", "ensemble.")
+    inhibitory_weight = _get_float(ens, "inhibitory_weight", "ensemble.")
     nesting = _get(ens, "nesting", str, "ensemble.")
     if nesting != "linear":
         raise ParseError(f'ensemble.nesting must be "linear", got {nesting!r}')
@@ -292,6 +298,13 @@ def _get(obj: dict, key: str, types, prefix: str = ""):
         type_names = types.__name__ if isinstance(types, type) else "number"
         raise ParseError(f"{prefix}{key} must be {type_names}, got {type(value).__name__}")
     return value
+
+
+def _get_float(obj: dict, key: str, prefix: str) -> float:
+    try:
+        return float(_get(obj, key, (int, float), prefix))
+    except OverflowError:  # an integer literal beyond float range
+        raise ValidationError(f"{prefix}{key} is beyond the range of a float") from None
 
 
 def _read_rows(text: str, header: str, row: np.dtype) -> list[np.ndarray]:

@@ -98,7 +98,10 @@ class TestSimulate:
         assert err.startswith("nestfire: error:")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e308"])
+    @pytest.mark.parametrize(
+        "literal",
+        ["NaN", "Infinity", "1e308", pytest.param("1" + "0" * 400, id="int-beyond-float")],
+    )
     def test_non_finite_parameter_is_invalid_input(self, capsys, tmp_path, scenario_file, literal):
         bad = tmp_path / "bad.scenario"
         bad.write_text(scenario_file.read_text().replace("1.0", literal))
@@ -313,3 +316,17 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert result.stdout == "pass max_abs_error=0\n"
+
+    def test_unit_beyond_float_range_exits_2_without_a_traceback(self, tmp_path, scenario_file):
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(scenario_file.read_text().replace("1.0", "1" + "0" * 400))
+        result = subprocess.run(
+            [sys.executable, "-m", "nestfire", "simulate", "--scenario", str(bad)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "nestfire: error: ensemble.excitatory_unit is beyond the range of a float\n"
+        )

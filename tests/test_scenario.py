@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from importlib import resources
 
 import numpy as np
@@ -79,6 +80,27 @@ class TestParseScenario:
         doc["ensemble"][key] = value  # json.dumps writes NaN / Infinity
         with pytest.raises(ValidationError, match=key):
             parse_scenario(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["excitatory_unit", "inhibitory_weight"])
+    def test_integer_beyond_float_range_fails_validation(self, key):
+        doc = standard_doc()
+        doc["ensemble"][key] = 10**400
+        with pytest.raises(ValidationError, match=f"ensemble.{key} is beyond") as excinfo:
+            parse_scenario(json.dumps(doc))
+        assert "0" * 20 not in str(excinfo.value)
+
+    def test_overlong_integer_literal_is_a_parse_error(self):
+        text = json.dumps(standard_doc())
+        assert '"steps": 5' in text
+        text = text.replace('"steps": 5', '"steps": ' + "7" * 5000)
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(ParseError, match=f"more than {limit} digits") as excinfo:
+            parse_scenario(text)
+        assert "7777" not in str(excinfo.value)
+
+    def test_deeply_nested_document_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_scenario("[" * 100_000 + "]" * 100_000)
 
     def test_unknown_key_rejected(self):
         doc = standard_doc()

@@ -1,0 +1,118 @@
+"""Start-up loads only what a command uses.
+
+``import nestfire`` binds names on first access, and ``nestfire.cli`` imports
+``dynamics`` and ``scenario`` (and with them numpy) only when a command calls
+into them. Each check that numpy stays out runs in a fresh interpreter, since
+this one has long imported it.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import nestfire
+from test_public_api import MODULES, PUBLIC_NAMES
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Runs ``python -m nestfire ARGS`` through runpy, then reports on stderr
+# whether numpy was loaded and the exit code.
+RUN_MODULE = """
+import runpy, sys
+sys.argv[0] = "nestfire"
+code = 0
+try:
+    runpy.run_module("nestfire", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(f"numpy={'numpy' in sys.modules} exit={code}", file=sys.stderr)
+"""
+
+
+def child(code: str, *args: str) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+
+
+@pytest.mark.parametrize(
+    "args, numpy",
+    [
+        (["--version"], False),
+        (["counter", "--depth", "3"], False),
+        (["chain", "--hops", "2,2"], False),
+        (["center", "--weights", "5,2,2,2,10,10"], False),
+        # The commands that compute with numpy do load it: the check can see it.
+        (["verify-table1"], True),
+        (["layout", "--trials", "2"], True),
+    ],
+    ids=lambda value: value if isinstance(value, bool) else value[0],
+)
+def test_command_loads_numpy_only_when_it_computes_with_it(args, numpy):
+    result = child(RUN_MODULE, *args)
+    assert result.stderr.splitlines()[-1] == f"numpy={numpy} exit=0"
+    assert result.stdout
+
+
+def test_import_and_numpy_free_names_load_no_numpy():
+    result = child(
+        "import sys, nestfire\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith(('nestfire.', 'numpy')))\n"
+        "print(loaded())\n"
+        "nestfire.CounterSpec\n"
+        "print(loaded())\n"
+        "nestfire.event_oracle, nestfire.ValidationError\n"
+        "print(loaded())\n"
+        "from nestfire import cli\n"
+        "print(loaded())\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "[]",
+        "['nestfire.counter', 'nestfire.errors', 'nestfire.topology']",
+        "['nestfire.counter', 'nestfire.energy', 'nestfire.errors', 'nestfire.topology']",
+        "['nestfire.cli', 'nestfire.counter', 'nestfire.energy', 'nestfire.errors',"
+        " 'nestfire.topology']",
+    ]
+
+
+def test_unknown_names_are_missing():
+    assert not hasattr(nestfire, "no_such_name")
+    assert not hasattr(nestfire, "_no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        nestfire.no_such_name
+
+
+def test_dir_lists_every_public_name():
+    # In a fresh interpreter: here, star imports have long bound every name.
+    result = child("import nestfire; print(*dir(nestfire))")
+    assert result.returncode == 0, result.stderr
+    assert set(PUBLIC_NAMES) <= set(result.stdout.split())
+
+
+def test_submodules_resolve_by_name():
+    # In a fresh interpreter, where no submodule is bound yet.
+    result = child(
+        "import importlib, sys, nestfire\n"
+        "for name in sys.argv[1:]:\n"
+        "    print(getattr(nestfire, name) is importlib.import_module(f'nestfire.{name}'))\n",
+        "cli",
+        *MODULES,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["True"] * (1 + len(MODULES))
+
+
+def test_each_name_is_its_modules_own():
+    for name in MODULES:
+        module = importlib.import_module(f"nestfire.{name}")
+        for public in module.__all__:
+            assert getattr(nestfire, public) is getattr(module, public), public
