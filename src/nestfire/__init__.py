@@ -21,16 +21,20 @@ byte-identical outputs.
 
 Modules load on first use: ``import nestfire`` imports none of them, and a
 public name such as ``nestfire.CounterSpec`` imports only the modules
-searched to find it. ``errors``, ``topology``, ``counter`` and ``energy``
-are searched first and do not import numpy; ``dynamics`` and ``scenario``
-do. Asking for ``__all__`` (or ``from nestfire import *``) loads them all.
+searched to find it: ``errors``, ``topology``, ``counter`` and ``energy``
+first, then ``dynamics`` and ``scenario``. Asking for ``__all__`` (or
+``from nestfire import *``) loads them all. None of them imports numpy as
+it loads: ``energy``, ``dynamics`` and ``scenario`` import it only inside
+the functions that build arrays (layouts, a trace's arrays, ``SimState``,
+trace reading and golden comparison), so ``run`` and ``write_trace`` never
+load it.
 """
 
 from importlib import import_module
 
 __version__ = "0.1.0"
 
-# Searched in this order for a public name: the numpy-free modules first.
+# Searched in this order for a public name; one found early loads none after it.
 _MODULES = ("errors", "topology", "counter", "energy", "dynamics", "scenario")
 
 

@@ -9,7 +9,12 @@ Strengths clamp at zero; they never go negative.
 
 Every update is the same for all members of a pattern, so states and traces
 hold one strength per pattern; ``TraceTable.values`` spreads a trace over
-the neurons, laid out as ``topology.members`` says.
+the neurons, laid out as ``topology.members`` says. The step kernel works on
+plain lists of one float per pattern. ``run`` stores a trace's strengths in
+one flat ``array('d')``, step after step, 8 bytes a value. numpy is imported
+only where arrays are built: a table's ``strength``, ``pattern_of`` and
+``values`` on first read, and the ``SimState`` arrays of ``initial_state``
+and ``step``. So ``run`` followed by ``scenario.write_trace`` never loads it.
 
 Two firing modes exist:
 
@@ -30,14 +35,19 @@ mutate their inputs, so independent runs can share specs freely.
 
 from __future__ import annotations
 
+import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable
-
-import numpy as np
+from operator import add, sub
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 from .errors import OutOfRange, SpecMismatch, ValidationError, WrongShape
-from .topology import EnsembleSpec, ancestors, check_rows, members, validate
+from .topology import EnsembleSpec, ancestors, brief, check_rows, members, validate
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MODE_SCHEDULED",
@@ -68,13 +78,15 @@ class Schedule:
         object.__setattr__(self, "activation_step", tuple(int(t) for t in self.activation_step))
         for k, t in enumerate(self.activation_step):
             if t < 1:
-                raise ValidationError(f"activation step for pattern {k} must be >= 1, got {t}")
+                raise ValidationError(
+                    f"activation step for pattern {k} must be >= 1, got {brief(t)}"
+                )
 
     @classmethod
     def staggered(cls, num_patterns: int, interval: int = 1) -> "Schedule":
         """One new pattern per ``interval`` steps, outermost first: t_k = 1 + k*interval."""
         if interval < 1:
-            raise ValidationError(f"interval must be >= 1, got {interval}")
+            raise ValidationError(f"interval must be >= 1, got {brief(interval)}")
         return cls(tuple(1 + k * interval for k in range(num_patterns)))
 
 
@@ -98,7 +110,12 @@ class SimState:
 
 @dataclass(frozen=True, eq=False)
 class TraceTable:
-    """Step x pattern strengths plus a neuron-to-pattern map naming every pattern."""
+    """Step x pattern strengths plus a neuron-to-pattern map naming every pattern.
+
+    Both are numpy arrays. A table that ``run`` returns holds its strengths
+    in a flat ``array('d')`` and its map in a list instead, and builds each
+    array, importing numpy, only when it is first read.
+    """
 
     strength: np.ndarray
     pattern_of: np.ndarray = field(repr=False)
@@ -108,6 +125,38 @@ class TraceTable:
         # A set, not np.unique: that imports numpy.ma (tens of ms) on first use.
         if not shapes_ok or set(self.pattern_of.tolist()) != set(range(self.strength.shape[1])):
             raise WrongShape(f"pattern_of must name each pattern of strength{self.strength.shape}")
+
+    @classmethod
+    def _of_run(cls, rows: array, num_patterns: int, pattern_of: list[int]) -> TraceTable:
+        """The table of ``run``'s ``rows``, one step's strengths after another."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "_lists", (rows, num_patterns, pattern_of))
+        return table
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute not set: the arrays of a table from
+        # ``_of_run``, each built on its first read.
+        lists = self.__dict__.get("_lists")
+        if lists is None or name not in ("strength", "pattern_of"):
+            raise AttributeError(name)
+        import numpy as np
+
+        rows, num_patterns, pattern_of = lists
+        if name == "strength":
+            value = np.frombuffer(rows).reshape(-1, num_patterns)
+        else:
+            value = np.array(pattern_of, dtype=int)
+        object.__setattr__(self, name, value)
+        return value
+
+    def _python_rows(self) -> tuple[Iterator[Sequence[float]], list[int]]:
+        """Each step's strengths and the neuron-to-pattern map as Python numbers:
+        ``run``'s own lists, or else the arrays converted."""
+        if "_lists" not in self.__dict__:
+            return (row.tolist() for row in self.strength), self.pattern_of.tolist()
+        rows, num_patterns, pattern_of = self._lists
+        steps = range(0, len(rows), num_patterns)
+        return (rows[start : start + num_patterns] for start in steps), pattern_of
 
     @property
     def num_steps(self) -> int:
@@ -125,8 +174,27 @@ class TraceTable:
         return values
 
 
+class _Step(NamedTuple):
+    """The step kernel's state after one step, in plain lists."""
+
+    strength: list[float]
+    ever_active: list[bool]
+    firing: list[int]  # the patterns that fired, ascending
+    # What they gave and sent each pattern, (gain, inhibition), if known.
+    sums: tuple[list[float], list[float]] | None
+    reach: int  # no pattern from here on has fired or received inhibition yet
+
+
+def _zero_step(num_patterns: int) -> _Step:
+    """The kernel's all-zero state before any step has run."""
+    zeros = [0.0] * num_patterns
+    return _Step(zeros, [False] * num_patterns, [], (zeros, zeros), 0)
+
+
 def initial_state(spec: EnsembleSpec) -> SimState:
     """The all-zero state before any step has run."""
+    import numpy as np
+
     return SimState(
         step=0,
         strength=np.zeros(spec.num_patterns),
@@ -146,7 +214,26 @@ def step(
     shape = (spec.num_patterns,)
     if {state.strength.shape, state.active.shape, state.ever_active.shape} != {shape}:
         raise SpecMismatch(f"state arrays need one entry for each of {spec.num_patterns} patterns")
-    return advance(state)
+    import numpy as np
+
+    # A state carries no inhibition sums, so this step's are summed from zero.
+    last = _Step(
+        strength=state.strength.tolist(),
+        ever_active=state.ever_active.tolist(),
+        firing=np.flatnonzero(state.active).tolist(),
+        sums=None,
+        reach=spec.num_patterns,  # its strengths may be anything: update them all
+    )
+    new = advance(state.step + 1, last, state.drive)
+    active = np.zeros(spec.num_patterns, dtype=bool)
+    active[new.firing] = True
+    return SimState(
+        step=state.step + 1,
+        strength=np.array(new.strength, dtype=float),
+        active=active,
+        ever_active=np.array(new.ever_active, dtype=bool),
+        drive=state.drive,
+    )
 
 
 def run(
@@ -158,18 +245,19 @@ def run(
     """Run ``steps`` steps from the all-zero state and collect the full trace.
     A run of more than ``topology.MAX_ROWS`` steps x neurons is refused."""
     if steps < 1:
-        raise ValidationError(f"steps must be >= 1, got {steps}")
+        raise ValidationError(f"steps must be >= 1, got {brief(steps)}")
     advance = _compile(spec, schedule, mode, steps)
     check_rows("steps x neurons", steps, spec.num_neurons)
-    state = initial_state(spec)
-    rows = np.empty((steps, spec.num_patterns))
-    for row in rows:
-        state = advance(state)
-        row[:] = state.strength
-    pattern_of = np.empty(spec.num_neurons, dtype=int)
+    state = _zero_step(spec.num_patterns)
+    rows = array("d")
+    for t in range(1, steps + 1):
+        state = advance(t, state, True)
+        rows.fromlist(state.strength)
+    pattern_of = [0] * spec.num_neurons
     for p in range(spec.num_patterns):
-        pattern_of[members(spec, p)] = p
-    return TraceTable(strength=rows, pattern_of=pattern_of)
+        for i in members(spec, p):
+            pattern_of[i] = p
+    return TraceTable._of_run(rows, spec.num_patterns, pattern_of)
 
 
 def pattern_strength(trace: TraceTable, pattern: int, t: int) -> float:
@@ -213,8 +301,9 @@ def with_drive(state: SimState, drive: bool) -> SimState:
 
 def _compile(
     spec: EnsembleSpec, schedule: Schedule, mode: str, steps: int
-) -> Callable[[SimState], SimState]:
-    """Check a run of ``steps`` steps, compile it once and return the step kernel."""
+) -> Callable[[int, _Step, bool], _Step]:
+    """Check a run of ``steps`` steps, compile it once and return the step
+    kernel: ``advance(t, last, drive)`` is the state after step ``t``."""
     if mode not in (MODE_SCHEDULED, MODE_FREE_RUN):
         raise ValidationError(f"unknown mode {mode!r}")
     violations = validate(spec)
@@ -231,42 +320,78 @@ def _compile(
     try:
         bound = max(steps * unit * largest, weight * unit * spec.num_neurons)
     except OverflowError:  # a size or step count beyond float range
-        bound = np.inf
-    if not np.isfinite(bound):
+        bound = math.inf
+    if not math.isfinite(bound):
         raise ValidationError(f"excitatory_unit {unit} and inhibitory_weight {weight} overflow")
-    sizes = np.array([p.size for p in spec.patterns])
+    num = spec.num_patterns
+    parent = [p.parent for p in spec.patterns]
+    roots, children = [], [[] for _ in range(num)]
+    for k, up in enumerate(parent):
+        (roots if up is None else children[up]).append(k)
+    activation = schedule.activation_step
+    # The patterns due by step t are the first bisect_right(due_steps, t) of due.
+    due = sorted(range(num), key=activation.__getitem__)
+    due_steps = [activation[k] for k in due]
+    excitation = [unit * p.size for p in spec.patterns]
+    inhibition = [weight * unit * p.size for p in spec.patterns]
     # Inhibition targets are looked up when a pattern first fires: a deep
-    # chain has about depth**2 / 2 of them, and a short run needs few.
-    targets: list[np.ndarray | None] = [None] * spec.num_patterns
-    # Roots get -1, a valid index whose gate value np.where discards.
-    parent = np.array([-1 if p.parent is None else p.parent for p in spec.patterns])
-    is_root = parent < 0
-    activation = np.array(schedule.activation_step)
-    excitation = unit * sizes
-    inhibition = weight * unit * sizes
+    # chain has about depth**2 / 2 of them, and a short run needs few. Each
+    # comes with the end of the span of patterns its firing touches. The
+    # spec is a valid forest, so a pattern's targets are its parent and the
+    # parent's targets, if those are known.
+    targets: list[tuple[list[int], int] | None] = [None] * num
     free_run = mode == MODE_FREE_RUN
 
-    def advance(state: SimState) -> SimState:
-        t = state.step + 1
-        fires = activation <= t
+    def advance(t: int, last: _Step, drive: bool) -> _Step:
+        strength, ever_active = last.strength, last.ever_active
         if free_run:
-            alive = (state.strength > 0) | ~state.ever_active
-            fires &= alive & np.where(is_root, state.drive, state.active[parent])
+            # Only roots (with the drive on) and children of last step's
+            # firing patterns pass the gate.
+            gated = (roots if drive else []) + [c for q in last.firing for c in children[q]]
+            firing = [
+                k
+                for k in sorted(gated)
+                if activation[k] <= t and (strength[k] > 0 or not ever_active[k])
+            ]
+        else:
+            firing = sorted(due[: bisect_right(due_steps, t)])
         # Inhibition is summed one firing pattern at a time, in ascending
         # order: for non-dyadic weights another order changes the low bits,
-        # and traces are pinned byte for byte.
-        inh = np.zeros(spec.num_patterns)
-        for q in np.flatnonzero(fires):
+        # and traces are pinned byte for byte. The sums, like the gains,
+        # depend on the firing list alone, so when the last step's list is a
+        # prefix of this one, they are extended by the newcomers rather than
+        # summed anew.
+        done, reach = len(last.firing), last.reach
+        if last.sums is not None and firing[:done] == last.firing:
+            (gain, inh), new = last.sums, firing[done:]
+            if new:
+                gain, inh = gain.copy(), inh.copy()
+        else:  # also for a state from ``step``, which carries no sums
+            gain, inh, new = [0.0] * num, [0.0] * num, firing
+        if new:
+            ever_active = ever_active.copy()
+        for q in new:
             if targets[q] is None:
-                targets[q] = np.array(ancestors(spec, q), dtype=np.intp)
-            inh[targets[q]] += inhibition[q]
-        exc = np.where(fires, excitation, 0.0)
-        return SimState(
-            step=t,
-            strength=np.maximum(state.strength + exc - inh, 0.0),
-            active=fires,
-            ever_active=state.ever_active | fires,
-            drive=state.drive,
+                up = parent[q]
+                known = up is not None and targets[up] is not None
+                above = [up, *targets[up][0]] if known else ancestors(spec, q)
+                targets[q] = above, max(q, max(above, default=q)) + 1
+            above, end = targets[q]
+            w = inhibition[q]
+            for a in above:
+                inh[a] += w
+            gain[q], ever_active[q] = excitation[q], True
+            reach = max(reach, end)
+        # From ``reach`` on, no pattern has fired or received inhibition yet,
+        # and the update (s + 0.0) - 0.0 leaves their strength s = 0.0 as it is.
+        head = map(sub, map(add, strength, gain), inh[:reach])
+        return _Step(
+            strength=[v if v >= 0.0 else 0.0 for v in head] + strength[reach:],
+            ever_active=ever_active,
+            firing=firing,
+            sums=(gain, inh),
+            reach=reach,
         )
 
     return advance
+

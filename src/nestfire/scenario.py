@@ -21,13 +21,14 @@ from functools import partial
 from importlib import resources
 from itertools import groupby
 from operator import itemgetter
-from typing import NamedTuple, TextIO
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, TextIO
 
 from .dynamics import MODE_FREE_RUN, MODE_SCHEDULED, Schedule, TraceTable, golden_table
 from .errors import AsymmetricPattern, ParseError, ValidationError, WrongShape
-from .topology import EnsembleSpec, build_linear, check_rows, validate
+from .topology import EnsembleSpec, brief, build_linear, check_rows, validate
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Scenario",
@@ -48,8 +49,9 @@ GOLDEN_TOLERANCE = 1e-9
 
 TRACE_HEADER = "step,neuron,pattern,strength"
 FIXTURE_HEADER = "neuron,t3,t4,t5"
-_TRACE_ROW = np.dtype([("step", "i8"), ("neuron", "i8"), ("pattern", "i8"), ("strength", "f8")])
-_FIXTURE_ROW = np.dtype([("neuron", "i8"), ("t3", "f8"), ("t4", "f8"), ("t5", "f8")])
+# The CSV columns as numpy record fields: name and type.
+_TRACE_ROW = [("step", "i8"), ("neuron", "i8"), ("pattern", "i8"), ("strength", "f8")]
+_FIXTURE_ROW = [("neuron", "i8"), ("t3", "f8"), ("t4", "f8"), ("t5", "f8")]
 
 _MODES = (MODE_SCHEDULED, MODE_FREE_RUN)
 
@@ -129,7 +131,7 @@ def parse_scenario(text: str) -> Scenario:
         raise ParseError(f"mode must be one of {_MODES}, got {mode!r}")
 
     if steps < 1:
-        raise ValidationError(f"steps must be >= 1, got {steps}")
+        raise ValidationError(f"steps must be >= 1, got {brief(steps)}")
     # Refused before the ensemble is built, not only before it runs.
     check_rows("steps x depth x pattern_size", steps, depth, pattern_size)
     spec = build_linear(depth, pattern_size, excitatory_unit, inhibitory_weight)
@@ -194,14 +196,15 @@ def write_trace(trace: TraceTable, out: TextIO | None = None) -> str | None:
     With a text handle ``out``, the header and then each step's rows go to it
     one write at a time, so memory holds one step's text, and None is
     returned. Without one, the whole text is returned as a string."""
+    rows, pattern_of = trace._python_rows()
     blocks = [
         (p, [f"{i},{p + 1}," for i, _ in members])
-        for p, members in groupby(enumerate(trace.pattern_of.tolist(), start=1), key=itemgetter(1))
+        for p, members in groupby(enumerate(pattern_of, start=1), key=itemgetter(1))
     ]
     parts: list[str] = []
     write = parts.append if out is None else out.write
     write(TRACE_HEADER + "\n")
-    for t, row in enumerate(map(np.ndarray.tolist, trace.strength), start=1):
+    for t, row in enumerate(rows, start=1):
         head, chunks = f"{t},", []
         for p, labels in blocks:
             tail = f"{row[p]!r}\n"
@@ -214,6 +217,8 @@ def read_trace(text: str) -> TraceTable:
     """Inverse of :func:`write_trace` for rows in canonical order. The members of a
     pattern must agree bit for bit at every step, ``0.0`` and ``-0.0`` included
     (else AsymmetricPattern), and pattern labels must run 1..P (else WrongShape)."""
+    import numpy as np
+
     step, neuron, pattern, strength = _read_rows(text, TRACE_HEADER, _TRACE_ROW)
     num_steps, num_neurons = int(step.max(initial=0)), int(neuron.max(initial=0))
     if len(step) != num_steps * num_neurons:
@@ -240,6 +245,8 @@ def read_trace(text: str) -> TraceTable:
 def compare_grids(actual, expected, tolerance: float = GOLDEN_TOLERANCE) -> GoldenReport:
     """Element-wise comparison of two golden-layout grids (rows are neurons
     1.., columns are steps t=3,4,5). ``tolerance`` must be finite and >= 0."""
+    import numpy as np
+
     actual = np.asarray(actual, dtype=float)
     expected = np.asarray(expected, dtype=float)
     if actual.shape != expected.shape or actual.ndim != 2:
@@ -268,6 +275,8 @@ def compare_golden(
 
 def read_golden_fixture(text: str) -> np.ndarray:
     """Parse the golden fixture CSV (header neuron,t3,t4,t5) into a grid."""
+    import numpy as np
+
     neuron, *columns = _read_rows(text, FIXTURE_HEADER, _FIXTURE_ROW)
     misnumbered = neuron != np.arange(1, len(neuron) + 1)
     if misnumbered.any():
@@ -307,10 +316,13 @@ def _get_float(obj: dict, key: str, prefix: str) -> float:
         raise ValidationError(f"{prefix}{key} is beyond the range of a float") from None
 
 
-def _read_rows(text: str, header: str, row: np.dtype) -> list[np.ndarray]:
-    """Parse CSV ``text`` below ``header`` into one array per field of ``row``,
-    in one C-level pass; blank lines are skipped. A row that does not parse
-    raises ParseError naming its line, found by bisection."""
+def _read_rows(text: str, header: str, fields: list[tuple[str, str]]) -> list[np.ndarray]:
+    """Parse CSV ``text`` below ``header`` into one array per field of
+    ``fields``, in one C-level pass; blank lines are skipped. A row that does
+    not parse raises ParseError naming its line, found by bisection."""
+    import numpy as np
+
+    row = np.dtype(fields)
     lines = list(filter(None, text.splitlines()))
     if not lines or lines[0] != header:
         raise ParseError(f"expected header {header!r}")

@@ -96,7 +96,9 @@ def build_linear(
     the outermost (root); pattern depth-1 is the innermost.
     """
     if depth < 1 or size < 1:
-        raise InvalidDimension(f"depth and size must be >= 1, got depth={depth} size={size}")
+        raise InvalidDimension(
+            f"depth and size must be >= 1, got depth={brief(depth)} size={brief(size)}"
+        )
     patterns = tuple(
         PatternSpec(id=k, parent=None if k == 0 else k - 1, size=size)
         for k in range(depth)
@@ -163,6 +165,14 @@ def check_rows(what: str, *factors: int) -> None:
     ``factors``; ``what`` names the factors in the message."""
     if math.prod(factors) > MAX_ROWS:
         raise ValidationError(f"{what} exceeds the budget of {MAX_ROWS} rows")
+
+
+def brief(n: int) -> str:
+    """``n`` for a message: in full up to 9 digits, else only its sign, so
+    that an input of hundreds of digits cannot flood the message."""
+    if -(10**9) < n < 10**9:
+        return str(n)
+    return f"{'-' if n < 0 else ''}(over 9 digits)"
 
 
 def _check_pattern(spec: EnsembleSpec, pattern: int) -> None:

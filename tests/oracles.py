@@ -4,8 +4,10 @@ Deliberately written without numpy and without touching the library's
 update code: plain per-pattern loops over a linear chain, exploiting the
 symmetry that all members of one pattern share the same strength, a
 per-neuron trace formatter, a step-by-step walk up the parent links and
-the slice-product centering cost. Expected values frozen into the tests were
-computed with these functions.
+the slice-product centering cost. ``reference_firing_run`` recomputes every
+step from zero in the library's pinned order of float operations, so its
+strengths must match the engine's bit for bit. Expected values frozen into
+the tests were computed with these functions.
 """
 
 from __future__ import annotations
@@ -43,6 +45,54 @@ def reference_run(
     return rows
 
 
+def reference_firing_run(
+    sizes: list[int],
+    unit: float,
+    weight: float,
+    activation: list[int],
+    steps: int,
+    mode: str,
+) -> list[list[float]]:
+    """Per-pattern strengths after each step of a run on a linear chain whose
+    pattern k has ``sizes[k]`` neurons, in either mode, with every step
+    computed from zero.
+
+    Pattern k may fire at step t iff t >= activation[k]. In ``free_run`` it
+    must also hold a positive strength or never have fired, and pattern k-1
+    must have fired at step t-1 (the root has the drive instead, always on).
+    Each target's inhibition is summed over the firing patterns in ascending
+    order, starting from 0.0; the update is ``(s + exc) - inh``, clamped at
+    zero, with ``exc`` 0.0 for a pattern that does not fire.
+    """
+    depth = len(sizes)
+    excitation = [unit * size for size in sizes]
+    inhibition = [weight * unit * size for size in sizes]
+    strength = [0.0] * depth
+    fired = [False] * depth
+    ever = [False] * depth
+    rows = []
+    for t in range(1, steps + 1):
+        firing = []
+        for k in range(depth):
+            due = t >= activation[k]
+            if mode == "free_run":
+                alive = strength[k] > 0 or not ever[k]
+                gate = True if k == 0 else fired[k - 1]
+                due = due and alive and gate
+            if due:
+                firing.append(k)
+        inh = [0.0] * depth
+        for q in firing:
+            for a in range(q):
+                inh[a] += inhibition[q]
+        exc = [excitation[k] if k in firing else 0.0 for k in range(depth)]
+        strength = [max((s + e) - i, 0.0) for s, e, i in zip(strength, exc, inh)]
+        fired = [k in firing for k in range(depth)]
+        ever = [e or f for e, f in zip(ever, fired)]
+        rows.append(list(strength))
+    return rows
+
+
 def expand_to_neurons(rows: list[list[float]], size: int) -> list[list[float]]:
     """Per-pattern rows -> per-neuron rows (members share their pattern value)."""
     return [[value for value in row for _ in range(size)] for row in rows]
@@ -55,9 +105,14 @@ def reference_write_trace(trace) -> str:
     byte; numpy appears only in the ``.tolist()`` calls that turn the
     table into Python numbers.
     """
-    pattern_of = trace.pattern_of.tolist()
+    return reference_csv(trace.values.tolist(), trace.pattern_of.tolist())
+
+
+def reference_csv(rows: list[list[float]], pattern_of: list[int]) -> str:
+    """Trace CSV text of per-neuron ``rows``, formatted one f-string per
+    (step, neuron); ``pattern_of`` gives each neuron's 0-based pattern."""
     lines = ["step,neuron,pattern,strength\n"]
-    for t, row in enumerate(trace.values.tolist(), start=1):
+    for t, row in enumerate(rows, start=1):
         for neuron, (pattern, value) in enumerate(zip(pattern_of, row), start=1):
             lines.append(f"{t},{neuron},{pattern + 1},{value!r}\n")
     return "".join(lines)

@@ -11,6 +11,9 @@ import pytest
 from nestfire import ValidationError, cli, topology
 from nestfire.cli import dispatch
 
+HUGE = -int("9" * 401)  # a 401-digit number: no message may print it
+SHORT = "-(over 9 digits)"  # what messages print instead
+
 
 def write_scenario_file(path, depth, size, steps, unit=1.0, mode="scheduled"):
     """A staggered linear-chain scenario document at ``path``."""
@@ -146,6 +149,36 @@ class TestSimulate:
             f"nestfire: error: steps x depth x pattern_size exceeds the budget of"
             f" {topology.MAX_ROWS} rows\n"
         )
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("pattern_size", HUGE, f"depth and size must be >= 1, got depth=5 size={SHORT}"),
+            ("depth", HUGE, f"depth and size must be >= 1, got depth={SHORT} size=5"),
+            ("steps", HUGE, f"steps must be >= 1, got {SHORT}"),
+            ("interval", HUGE, f"interval must be >= 1, got {SHORT}"),
+            (
+                "explicit",
+                [1, HUGE, 3, 4, 5],
+                f"activation step for pattern 1 must be >= 1, got {SHORT}",
+            ),
+        ],
+        ids=["pattern_size", "depth", "steps", "interval", "explicit"],
+    )
+    def test_huge_number_is_not_printed(self, capsys, tmp_path, scenario_file, key, value, message):
+        doc = json.loads(scenario_file.read_text())
+        if key == "explicit":
+            doc["schedule"] = {"type": "explicit", "steps": value}
+        elif key == "interval":
+            doc["schedule"] = {"type": "staggered", "interval": value}
+        else:
+            (doc["ensemble"] if key in doc["ensemble"] else doc)[key] = value
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(json.dumps(doc))
+        assert dispatch(["simulate", "--scenario", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"nestfire: error: {message}\n"
 
     def test_closed_stdout_stays_quiet(self, tmp_path):
         # 50 000 rows, far more than a pipe buffers: the reader leaves while

@@ -5,11 +5,13 @@ reference loop in oracles.py and frozen here; the golden strength table
 values come from the shipped fixture.
 """
 
+import itertools
+from array import array
 from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from nestfire import (
@@ -37,7 +39,7 @@ from nestfire import (
     with_drive,
     write_trace,
 )
-from oracles import expand_to_neurons, reference_run
+from oracles import expand_to_neurons, reference_csv, reference_firing_run, reference_run
 
 STANDARD = build_linear(5, 5, 1.0, 0.5)
 STAGGERED = Schedule.staggered(5)
@@ -114,6 +116,18 @@ class TestStep:
     def test_invalid_arguments_raise_nestfire_error(self, call):
         with pytest.raises(ValidationError):
             call()
+
+    def test_every_pattern_is_updated(self):
+        # Even a pattern that neither fires nor is inhibited gets (s + 0.0) - 0.0,
+        # clamped at zero; a state built by hand may hold any strength.
+        state = SimState(
+            step=9,
+            strength=np.array([-1.0, -0.0, 2.0]),
+            active=np.zeros(3, dtype=bool),
+            ever_active=np.ones(3, dtype=bool),
+        )
+        new = step(state, build_linear(3, 1, 1.0, 0.5), Schedule((20, 20, 20)))
+        assert new.strength.tobytes() == np.array([0.0, 0.0, 2.0]).tobytes()
 
     def test_inputs_not_mutated(self):
         state = initial_state(STANDARD)
@@ -312,3 +326,71 @@ class TestFreeRun:
         assert firing_sets[1] == ()       # t=2
         assert firing_sets[2] == (0,)     # t=3: parent starts
         assert firing_sets[3] == (0, 1)   # t=4: gate open, child joins
+
+
+def chain(sizes, unit, weight):
+    """A linear chain whose pattern k has ``sizes[k]`` neurons."""
+    patterns = (PatternSpec(k, None if k == 0 else k - 1, size) for k, size in enumerate(sizes))
+    return EnsembleSpec(tuple(patterns), unit, weight)
+
+
+@st.composite
+def chain_runs(draw):
+    """Pattern sizes, unit, weight, schedule, steps and mode of a chain run.
+    Sizes differ, so patterns send different inhibition and the order of
+    its sums shows in the low bits. Explicit steps are drawn in any order,
+    so later steps often fire patterns below ones already firing; free runs
+    also shut down."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=7))
+    steps = draw(st.integers(1, 24))
+    if draw(st.booleans()):
+        due = st.integers(1, steps + 1)
+        activation = draw(st.lists(due, min_size=len(sizes), max_size=len(sizes)))
+    else:
+        activation = list(Schedule.staggered(len(sizes), draw(st.integers(1, 3))).activation_step)
+    return (
+        sizes,
+        draw(st.sampled_from([0.3, 1.0, 2.0])),
+        draw(st.sampled_from([0.3, 1 / 3, 0.7])),
+        activation,
+        steps,
+        draw(st.sampled_from([MODE_SCHEDULED, MODE_FREE_RUN])),
+    )
+
+
+# Runs whose firing list at some step is not the last step's list extended.
+NOT_PREFIX_RUNS = [
+    ([2, 1, 3], 0.3, 1 / 3, [3, 1, 2], 5, MODE_SCHEDULED),  # fills in: [1], [1, 2], [0, 1, 2]
+    ([1, 3, 2, 1, 4], 1.0, 0.7, [1, 2, 3, 4, 5], 14, MODE_FREE_RUN),  # shuts down from the root
+]
+
+
+class TestKernelMatchesOracle:
+    """The engine against ``oracles.reference_firing_run``, which sums every
+    step from zero: reusing the last step's sums must change no bit."""
+
+    @given(chain_runs())
+    @example(NOT_PREFIX_RUNS[0])
+    @example(NOT_PREFIX_RUNS[1])
+    def test_run_matches_oracle_bit_for_bit(self, case):
+        sizes, unit, weight, activation, steps, mode = case
+        trace = run(chain(sizes, unit, weight), Schedule(activation), steps, mode)
+        rows = reference_firing_run(*case)
+        assert trace.strength.tobytes() == array("d", itertools.chain(*rows)).tobytes()
+        pattern_of = [k for k, size in enumerate(sizes) for _ in range(size)]
+        values = [[row[k] for k in pattern_of] for row in rows]
+        assert write_trace(trace) == reference_csv(values, pattern_of)
+
+    @given(chain_runs())
+    def test_stepping_matches_run(self, case):
+        sizes, unit, weight, activation, steps, mode = case
+        spec, schedule = chain(sizes, unit, weight), Schedule(activation)
+        stepped = [state.strength for state in run_steps(spec, schedule, steps, mode)]
+        assert np.stack(stepped).tobytes() == run(spec, schedule, steps, mode).strength.tobytes()
+
+    @pytest.mark.parametrize("case", NOT_PREFIX_RUNS, ids=["fill-in", "shutdown"])
+    def test_examples_leave_the_prefix_path(self, case):
+        sizes, unit, weight, activation, steps, mode = case
+        spec, schedule = chain(sizes, unit, weight), Schedule(activation)
+        lists = [np.flatnonzero(s.active).tolist() for s in run_steps(spec, schedule, steps, mode)]
+        assert any(now[: len(last)] != last for last, now in zip(lists, lists[1:]))

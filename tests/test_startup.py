@@ -1,9 +1,10 @@
 """Start-up loads only what a command uses.
 
 ``import nestfire`` binds names on first access, and ``nestfire.cli`` imports
-``dynamics`` and ``scenario`` (and with them numpy) only when a command calls
-into them. Each check that numpy stays out runs in a fresh interpreter, since
-this one has long imported it.
+``dynamics`` and ``scenario`` only when a command calls into them. Those two
+import numpy only where they build arrays, so ``simulate`` never loads it.
+Each check that numpy stays out runs in a fresh interpreter, since this one
+has long imported it.
 """
 
 import importlib
@@ -18,6 +19,7 @@ import nestfire
 from test_public_api import MODULES, PUBLIC_NAMES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+SCENARIO = SRC / "nestfire" / "data" / "table1.scenario"
 
 # Runs ``python -m nestfire ARGS`` through runpy, then reports on stderr
 # whether numpy was loaded and the exit code.
@@ -60,6 +62,30 @@ def test_command_loads_numpy_only_when_it_computes_with_it(args, numpy):
     result = child(RUN_MODULE, *args)
     assert result.stderr.splitlines()[-1] == f"numpy={numpy} exit=0"
     assert result.stdout
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_simulate_loads_no_numpy(tmp_path, to_file):
+    out = tmp_path / "trace.csv"
+    args = ["simulate", "--scenario", str(SCENARIO)] + (["--out", str(out)] if to_file else [])
+    result = child(RUN_MODULE, *args)
+    assert result.stderr.splitlines()[-1] == "numpy=False exit=0"
+    trace = out.read_text() if to_file else result.stdout
+    assert trace.startswith("step,neuron,pattern,strength\n1,1,1,5.0\n")
+    assert len(trace.splitlines()) == 1 + 5 * 25
+
+
+def test_run_and_streamed_write_load_no_numpy():
+    result = child(
+        "import io, sys\n"
+        "from nestfire import Schedule, build_linear, run, write_trace\n"
+        "out = io.StringIO()\n"
+        "trace = run(build_linear(3, 2, 1.0, 1 / 3), Schedule((2, 1, 3)), 6, 'free_run')\n"
+        "write_trace(trace, out)\n"
+        "print(len(out.getvalue().splitlines()), 'numpy' in sys.modules)\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "37 False\n"
 
 
 def test_import_and_numpy_free_names_load_no_numpy():
