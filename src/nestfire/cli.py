@@ -11,27 +11,15 @@ from importlib import import_module
 from pathlib import Path
 
 from . import __version__
-from .counter import CounterSpec, run_counter
-from .energy import (
-    WeightChain,
-    best_center,
-    centering_cost,
-    chain_source_firings,
-    event_oracle,
-    hops_from_weights,
-    layout_distances,
-    random_mirrored_layout,
-)
 from .errors import NestfireError, ValidationError
 
 
 def _deferred(module: str, name: str):
     """A stand-in for ``nestfire.<module>.<name>`` that imports the module on
-    each call, not with this one: ``dynamics`` and ``scenario`` import numpy,
-    which the commands that never call them do without. Bound as a module
-    global, so that the name can be swapped like an imported one (the traced
-    benchmark replay does); imports inside the handlers would do once nothing
-    swaps these names."""
+    each call, not with this one, so that each command loads only the
+    modules it runs. Bound as a module global, so that the name can be
+    swapped like an imported one (the traced benchmark replay does); imports
+    inside the handlers would do once nothing swaps these names."""
 
     def call(*args, **kwargs):
         return getattr(import_module(f".{module}", __package__), name)(*args, **kwargs)
@@ -45,6 +33,10 @@ write_trace = _deferred("scenario", "write_trace")
 compare_golden = _deferred("scenario", "compare_golden")
 standard_scenario = _deferred("scenario", "standard_scenario")
 table1_fixture = _deferred("scenario", "table1_fixture")
+run_counter = _deferred("counter", "run_counter")
+best_center = _deferred("energy", "best_center")
+event_oracle = _deferred("energy", "event_oracle")
+layout_distances = _deferred("energy", "layout_distances")
 
 DEFAULT_SEED = 12345
 
@@ -128,6 +120,8 @@ def _cmd_verify_table1(args) -> int:
 
 
 def _cmd_counter(args) -> int:
+    from .counter import CounterSpec
+
     events, final = run_counter(CounterSpec(depth=args.depth))
     for event in events:
         print(f"count level={event.level} tick={event.tick}")
@@ -136,6 +130,8 @@ def _cmd_counter(args) -> int:
 
 
 def _cmd_chain(args) -> int:
+    from .energy import WeightChain, chain_source_firings, hops_from_weights
+
     chain = WeightChain(_parse_ints(args.hops, "--hops"))
     product = _printable(chain_source_firings(chain), "--hops")
     oracle = event_oracle(hops_from_weights(chain))
@@ -144,6 +140,8 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_center(args) -> int:
+    from .energy import WeightChain, centering_cost
+
     chain = WeightChain(_parse_ints(args.weights, "--weights"))
     costs = [centering_cost(chain, pos) for pos in range(chain.num_positions)]
     _printable(max(costs), "--weights")
@@ -154,9 +152,16 @@ def _cmd_center(args) -> int:
 
 
 def _cmd_layout(args) -> int:
+    from .topology import brief, check_rows
+
     if args.trials < 1:
-        raise ValidationError(f"--trials must be >= 1, got {args.trials}")
+        raise ValidationError(f"--trials must be >= 1, got {brief(args.trials)}")
+    check_rows("--trials", args.trials)
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be >= 0, got {brief(args.seed)}")
     import numpy as np
+
+    from .energy import random_mirrored_layout
 
     print(f"seed={args.seed} trials={args.trials}")
     rng = np.random.default_rng(args.seed)

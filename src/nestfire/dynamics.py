@@ -38,13 +38,12 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import add, sub
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import OutOfRange, SpecMismatch, ValidationError, WrongShape
-from .topology import EnsembleSpec, ancestors, brief, check_rows, members, validate
+from .topology import EnsembleSpec, Frozen, ancestors, brief, check_rows, members, validate
 
 if TYPE_CHECKING:
     import numpy as np
@@ -68,14 +67,14 @@ MODE_SCHEDULED = "scheduled"
 MODE_FREE_RUN = "free_run"
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(Frozen):
     """First firing step t_k for every pattern (steps are 1-based)."""
 
+    _fields = ("activation_step",)
     activation_step: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "activation_step", tuple(int(t) for t in self.activation_step))
+    def __init__(self, activation_step: Iterable[int]) -> None:
+        object.__setattr__(self, "activation_step", tuple(int(t) for t in activation_step))
         for k, t in enumerate(self.activation_step):
             if t < 1:
                 raise ValidationError(
@@ -90,8 +89,7 @@ class Schedule:
         return cls(tuple(1 + k * interval for k in range(num_patterns)))
 
 
-@dataclass(frozen=True, eq=False)
-class SimState:
+class SimState(NamedTuple):
     """Snapshot after ``step`` simulation steps.
 
     ``strength`` holds one accumulated signal per pattern, shared by all of
@@ -107,20 +105,31 @@ class SimState:
     ever_active: np.ndarray
     drive: bool = True
 
+    # Arrays have no single truth value: states are equal only to themselves.
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
-@dataclass(frozen=True, eq=False)
-class TraceTable:
+
+class TraceTable(Frozen):
     """Step x pattern strengths plus a neuron-to-pattern map naming every pattern.
 
     Both are numpy arrays. A table that ``run`` returns holds its strengths
     in a flat ``array('d')`` and its map in a list instead, and builds each
-    array, importing numpy, only when it is first read.
+    array, importing numpy, only when it is first read. Tables are equal
+    only to themselves; the repr shows the strengths.
     """
 
+    _fields = ("strength",)
     strength: np.ndarray
-    pattern_of: np.ndarray = field(repr=False)
+    pattern_of: np.ndarray
 
-    def __post_init__(self) -> None:
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, strength: np.ndarray, pattern_of: np.ndarray) -> None:
+        object.__setattr__(self, "strength", strength)
+        object.__setattr__(self, "pattern_of", pattern_of)
         shapes_ok = self.strength.ndim == 2 and self.pattern_of.ndim == 1
         # A set, not np.unique: that imports numpy.ma (tens of ms) on first use.
         if not shapes_ok or set(self.pattern_of.tolist()) != set(range(self.strength.shape[1])):
@@ -296,7 +305,7 @@ def golden_table(trace: TraceTable) -> np.ndarray:
 def with_drive(state: SimState, drive: bool) -> SimState:
     """Copy of ``state`` with the external drive flag set; free-run root
     patterns stop firing once the drive is removed."""
-    return replace(state, drive=drive)
+    return state._replace(drive=drive)
 
 
 def _compile(

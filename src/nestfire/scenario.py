@@ -16,9 +16,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
 from functools import partial
-from importlib import resources
 from itertools import groupby
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple, TextIO
@@ -63,8 +61,7 @@ class Scenario(NamedTuple):
     mode: str
 
 
-@dataclass(frozen=True)
-class GoldenReport:
+class GoldenReport(NamedTuple):
     """Element-wise comparison result against a golden grid.
 
     ``mismatches`` holds (neuron, t, expected, actual) tuples with 1-based
@@ -288,6 +285,8 @@ def read_golden_fixture(text: str) -> np.ndarray:
 def table1_fixture() -> np.ndarray:
     """The shipped 25 x 3 golden grid, exactly as printed in the reference
     strength table."""
+    from importlib import resources
+
     text = (resources.files("nestfire") / "data" / "table1_fixture.csv").read_text()
     return read_golden_fixture(text)
 

@@ -16,9 +16,9 @@ output and CLI reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from typing import Iterable, NamedTuple
 
 from .errors import InvalidDimension, UnknownPattern, ValidationError
 
@@ -36,8 +36,7 @@ __all__ = [
 MAX_ROWS = 10**7
 
 
-@dataclass(frozen=True)
-class PatternSpec:
+class PatternSpec(NamedTuple):
     """One pattern: its index, optional enclosing pattern, and neuron count."""
 
     id: int
@@ -45,8 +44,35 @@ class PatternSpec:
     size: int
 
 
-@dataclass(frozen=True)
-class EnsembleSpec:
+class Frozen:
+    """Base of the immutable value classes: the attributes ``_fields`` names
+    are set once, in ``__init__``, and make the repr, ``==`` and the hash."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+
+class EnsembleSpec(Frozen):
     """A nested ensemble: ordered patterns plus the two signal parameters.
 
     ``excitatory_unit`` is the signal added per firing neuron to each member
@@ -58,12 +84,17 @@ class EnsembleSpec:
     ``validate`` faults. Instances are immutable and safe to share.
     """
 
+    _fields = ("patterns", "excitatory_unit", "inhibitory_weight")
     patterns: tuple[PatternSpec, ...]
     excitatory_unit: float
     inhibitory_weight: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "patterns", tuple(self.patterns))
+    def __init__(
+        self, patterns: Iterable[PatternSpec], excitatory_unit: float, inhibitory_weight: float
+    ) -> None:
+        object.__setattr__(self, "patterns", tuple(patterns))
+        object.__setattr__(self, "excitatory_unit", excitatory_unit)
+        object.__setattr__(self, "inhibitory_weight", inhibitory_weight)
 
     @property
     def num_patterns(self) -> int:

@@ -226,6 +226,12 @@ class TestCounter:
         assert out == ""
         assert err == f"nestfire: error: counter depth exceeds the budget of {depth - 1} rows\n"
 
+    def test_huge_depth_is_not_printed(self, capsys):
+        assert dispatch(["counter", "--depth", str(HUGE)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"nestfire: error: counter depth must be >= 1, got {SHORT}\n"
+
 
 class TestChain:
     def test_product_and_oracle_agree(self, capsys):
@@ -311,14 +317,33 @@ class TestLayout:
         assert dispatch(["layout", "--trials", "0"]) == 2
         capsys.readouterr()
 
+    # Each is refused before anything is printed or any trial runs.
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--seed", "-1"], "--seed must be >= 0, got -1"),
+            (["--seed", str(HUGE)], f"--seed must be >= 0, got {SHORT}"),
+            (["--trials", str(HUGE)], f"--trials must be >= 1, got {SHORT}"),
+            (["--trials", "9" * 30], "--trials exceeds the budget of 10000000 rows"),
+            (["--trials", str(topology.MAX_ROWS + 1)], "--trials exceeds the budget"),
+        ],
+        ids=["negative-seed", "huge-seed", "huge-negative-trials", "huge-trials", "one-over"],
+    )
+    def test_bad_flag_refused_by_name(self, capsys, args, message):
+        assert dispatch(["layout", *args]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"nestfire: error: {message}")
+
 
 @pytest.mark.parametrize(
     "call",
     [
         lambda: cli._parse_ints("2,x", "--hops"),
         lambda: cli._cmd_layout(argparse.Namespace(trials=0, seed=1)),
+        lambda: cli._cmd_layout(argparse.Namespace(trials=1, seed=-1)),
     ],
-    ids=["integer-list", "trials"],
+    ids=["integer-list", "trials", "seed"],
 )
 def test_argument_errors_are_validation_errors(call):
     with pytest.raises(ValidationError):

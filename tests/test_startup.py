@@ -1,10 +1,11 @@
 """Start-up loads only what a command uses.
 
 ``import nestfire`` binds names on first access, and ``nestfire.cli`` imports
-``dynamics`` and ``scenario`` only when a command calls into them. Those two
-import numpy only where they build arrays, so ``simulate`` never loads it.
-Each check that numpy stays out runs in a fresh interpreter, since this one
-has long imported it.
+each other module only when a command calls into it. ``dynamics`` and
+``scenario`` import numpy only where they build arrays, so ``simulate`` never
+loads it, and the classes on its path are no dataclasses. Each check that a
+module stays out runs in a fresh interpreter, since this one has long
+imported it.
 """
 
 import importlib
@@ -21,24 +22,31 @@ from test_public_api import MODULES, PUBLIC_NAMES
 SRC = Path(__file__).resolve().parent.parent / "src"
 SCENARIO = SRC / "nestfire" / "data" / "table1.scenario"
 
-# Runs ``python -m nestfire ARGS`` through runpy, then reports on stderr
-# whether numpy was loaded and the exit code.
+# Runs ``python -m nestfire ARGS`` through runpy, then reports on stderr which
+# of the comma-separated modules of its first argument were loaded, and the
+# exit code.
 RUN_MODULE = """
 import runpy, sys
+watched = sys.argv.pop(1).split(",")
 sys.argv[0] = "nestfire"
 code = 0
 try:
     runpy.run_module("nestfire", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print(f"numpy={'numpy' in sys.modules} exit={code}", file=sys.stderr)
+print(f"loaded={[m for m in watched if m in sys.modules]} exit={code}", file=sys.stderr)
 """
 
+# What ``--version`` and ``simulate`` never run. Without the site hooks
+# (``-S``), which on some hosts preload it, ``importlib.resources`` too.
+NOT_RUN = ["dataclasses", "inspect", "nestfire.counter", "nestfire.energy", "numpy"]
+NOT_RUN_WITHOUT_SITE = NOT_RUN + ["importlib.resources"]
 
-def child(code: str, *args: str) -> subprocess.CompletedProcess:
+
+def child(code: str, *args: str, flags: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", code, *args],
+        [sys.executable, *flags, "-c", code, *args],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
@@ -59,8 +67,8 @@ def child(code: str, *args: str) -> subprocess.CompletedProcess:
     ids=lambda value: value if isinstance(value, bool) else value[0],
 )
 def test_command_loads_numpy_only_when_it_computes_with_it(args, numpy):
-    result = child(RUN_MODULE, *args)
-    assert result.stderr.splitlines()[-1] == f"numpy={numpy} exit=0"
+    result = child(RUN_MODULE, "numpy", *args)
+    assert result.stderr.splitlines()[-1] == f"loaded={['numpy'] if numpy else []} exit=0"
     assert result.stdout
 
 
@@ -68,11 +76,25 @@ def test_command_loads_numpy_only_when_it_computes_with_it(args, numpy):
 def test_simulate_loads_no_numpy(tmp_path, to_file):
     out = tmp_path / "trace.csv"
     args = ["simulate", "--scenario", str(SCENARIO)] + (["--out", str(out)] if to_file else [])
-    result = child(RUN_MODULE, *args)
-    assert result.stderr.splitlines()[-1] == "numpy=False exit=0"
+    result = child(RUN_MODULE, "numpy", *args)
+    assert result.stderr.splitlines()[-1] == "loaded=[] exit=0"
     trace = out.read_text() if to_file else result.stdout
     assert trace.startswith("step,neuron,pattern,strength\n1,1,1,5.0\n")
     assert len(trace.splitlines()) == 1 + 5 * 25
+
+
+@pytest.mark.parametrize("flags", [(), ("-S",)], ids=["site", "no-site"])
+@pytest.mark.parametrize("command", ["version", "simulate-out", "simulate-stdout"])
+def test_version_and_simulate_load_only_what_they_run(tmp_path, command, flags):
+    args = {
+        "version": ["--version"],
+        "simulate-out": ["simulate", "--scenario", str(SCENARIO), "--out", str(tmp_path / "t.csv")],
+        "simulate-stdout": ["simulate", "--scenario", str(SCENARIO)],
+    }[command]
+    watched = NOT_RUN_WITHOUT_SITE if flags else NOT_RUN
+    result = child(RUN_MODULE, ",".join(watched), *args, flags=flags)
+    assert result.stderr.splitlines()[-1] == "loaded=[] exit=0"
+    assert result.stdout or command == "simulate-out"
 
 
 def test_run_and_streamed_write_load_no_numpy():
