@@ -26,8 +26,8 @@ first, then ``dynamics`` and ``scenario``. Asking for ``__all__`` (or
 ``from nestfire import *``) loads them all. None of them imports numpy as
 it loads: ``energy``, ``dynamics`` and ``scenario`` import it only inside
 the functions that build arrays (layouts, a trace's arrays, ``SimState``,
-trace reading and golden comparison), so ``run`` and ``write_trace`` never
-load it.
+trace reading and the public golden grids), so ``run``, ``write_trace``
+and ``compare_golden`` never load it.
 """
 
 from importlib import import_module

@@ -20,10 +20,9 @@ their own dynamics.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .errors import InvalidDepth
-from .topology import brief, check_rows
+from .topology import Frozen, brief, check_rows
 
 __all__ = [
     "Phase",
@@ -43,26 +42,26 @@ class Phase(enum.Enum):
     QUIESCENT = "quiescent"
 
 
-@dataclass(frozen=True)
-class CounterSpec:
+class CounterSpec(Frozen):
     """Chain depth plus an optional name carried on emitted signals."""
 
+    _fields = ("depth", "label")
     depth: int
     label: str | None = None
 
 
-@dataclass(frozen=True)
-class CountEvent:
+class CountEvent(Frozen):
     """One count: the nesting level (1-based) that activated, and when."""
 
+    _fields = ("level", "tick")
     level: int
     tick: int
 
 
-@dataclass(frozen=True)
-class CounterState:
+class CounterState(Frozen):
     """Counter snapshot; ``level`` is set only while cascading."""
 
+    _fields = ("phase", "level", "tick", "emissions")
     phase: Phase
     level: int | None
     tick: int
@@ -93,7 +92,7 @@ def _state_at(spec: CounterSpec, t: int) -> CounterState:
     """The state at tick ``t``: idle at 0, cascading at level t up to the
     depth, shutting down one tick later, quiescent after that."""
     d = spec.depth
-    emissions = tuple(CountEvent(level=k, tick=k) for k in range(1, min(t, d) + 1))
+    emissions = tuple(CountEvent(k, k) for k in range(1, min(t, d) + 1))
     if t == 0:
         return CounterState(Phase.IDLE, None, t, emissions)
     if t <= d:

@@ -13,8 +13,9 @@ the neurons, laid out as ``topology.members`` says. The step kernel works on
 plain lists of one float per pattern. ``run`` stores a trace's strengths in
 one flat ``array('d')``, step after step, 8 bytes a value. numpy is imported
 only where arrays are built: a table's ``strength``, ``pattern_of`` and
-``values`` on first read, and the ``SimState`` arrays of ``initial_state``
-and ``step``. So ``run`` followed by ``scenario.write_trace`` never loads it.
+``values`` on first read, ``golden_table``, and the ``SimState`` arrays of
+``initial_state`` and ``step``. So ``run`` followed by
+``scenario.write_trace`` or ``scenario.compare_golden`` never loads it.
 
 Two firing modes exist:
 
@@ -39,8 +40,9 @@ import math
 from array import array
 from bisect import bisect_right
 from functools import cached_property
+from itertools import islice
 from operator import add, sub
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 from .errors import OutOfRange, SpecMismatch, ValidationError, WrongShape
 from .topology import EnsembleSpec, Frozen, ancestors, brief, check_rows, members, validate
@@ -73,8 +75,8 @@ class Schedule(Frozen):
     _fields = ("activation_step",)
     activation_step: tuple[int, ...]
 
-    def __init__(self, activation_step: Iterable[int]) -> None:
-        object.__setattr__(self, "activation_step", tuple(int(t) for t in activation_step))
+    def _check(self) -> None:
+        object.__setattr__(self, "activation_step", tuple(int(t) for t in self.activation_step))
         for k, t in enumerate(self.activation_step):
             if t < 1:
                 raise ValidationError(
@@ -116,8 +118,9 @@ class TraceTable(Frozen):
 
     Both are numpy arrays. A table that ``run`` returns holds its strengths
     in a flat ``array('d')`` and its map in a list instead, and builds each
-    array, importing numpy, only when it is first read. Tables are equal
-    only to themselves; the repr shows the strengths.
+    array, importing numpy, only when it is first read; its sizes are read
+    from the lists. Tables are equal only to themselves; the repr shows the
+    strengths.
     """
 
     _fields = ("strength",)
@@ -169,11 +172,13 @@ class TraceTable(Frozen):
 
     @property
     def num_steps(self) -> int:
-        return self.strength.shape[0]
+        lists = self.__dict__.get("_lists")
+        return self.strength.shape[0] if lists is None else len(lists[0]) // lists[1]
 
     @property
     def num_neurons(self) -> int:
-        return self.pattern_of.shape[0]
+        lists = self.__dict__.get("_lists")
+        return self.pattern_of.shape[0] if lists is None else len(lists[2])
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -294,12 +299,21 @@ def first_zero_step(trace: TraceTable, pattern: int) -> int | None:
 def golden_table(trace: TraceTable) -> np.ndarray:
     """Extract the 25 x 3 grid (neurons 1..25 at t = 3, 4, 5) used for
     golden comparison against the reference strength table."""
+    import numpy as np
+
+    return np.array(_golden_rows(trace))
+
+
+def _golden_rows(trace: TraceTable) -> list[list[float]]:
+    """The grid of :func:`golden_table` as one list of Python numbers per neuron."""
     if trace.num_neurons != 25 or trace.num_steps < 5:
         raise WrongShape(
             f"need a 25-neuron trace of >= 5 steps, got {trace.num_neurons} neurons"
             f" x {trace.num_steps} steps"
         )
-    return trace.values[2:5, :].T.copy()
+    rows, pattern_of = trace._python_rows()
+    columns = list(islice(rows, 2, 5))
+    return [[column[p] for column in columns] for p in pattern_of]
 
 
 def with_drive(state: SimState, drive: bool) -> SimState:

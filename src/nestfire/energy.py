@@ -15,13 +15,13 @@ event-by-event as an independent check on the product rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate
 from operator import mul
 from typing import TYPE_CHECKING
 
 from .errors import AttenuatedOut, DegenerateLayout, OutOfRange, ValidationError
+from .topology import Frozen
 
 __all__ = [
     "HopSpec",
@@ -52,8 +52,7 @@ if TYPE_CHECKING:
 _MAX_ORACLE_FIRINGS = 10**6  # event_oracle replays a million in about half a second
 
 
-@dataclass(frozen=True)
-class HopSpec:
+class HopSpec(Frozen):
     """One feeder-to-target link.
 
     ``impulse`` signal units leave the feeder per firing, ``attenuation``
@@ -61,12 +60,13 @@ class HopSpec:
     ``threshold`` units have accumulated.
     """
 
+    _fields = ("distance", "attenuation", "threshold", "impulse")
     distance: float
     attenuation: float
     threshold: float
     impulse: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         _check_finite(**vars(self))
         if self.distance < 0:
             raise ValidationError(f"distance must be >= 0, got {self.distance}")
@@ -83,25 +83,25 @@ class HopSpec:
         return self.impulse - self.distance * self.attenuation
 
 
-@dataclass(frozen=True)
-class ChainSpec:
+class ChainSpec(Frozen):
     """A line of neurons; hop h connects neuron h to neuron h+1."""
 
+    _fields = ("hops",)
     hops: tuple[HopSpec, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         object.__setattr__(self, "hops", tuple(self.hops))
         if not self.hops:
             raise ValidationError("a chain needs at least one hop")
 
 
-@dataclass(frozen=True)
-class WeightChain:
+class WeightChain(Frozen):
     """Per-hop required firing counts along a line of neurons."""
 
+    _fields = ("weights",)
     weights: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
         if not self.weights:
             raise ValidationError("a weight chain needs at least one hop")
@@ -203,14 +203,18 @@ def best_center(chain: WeightChain) -> int:
     return chain._costs.index(min(chain._costs))
 
 
-@dataclass(frozen=True, eq=False)
-class GroupLayout:
-    """Planar node positions of one group plus its designated terminal node."""
+class GroupLayout(Frozen):
+    """Planar node positions of one group plus its designated terminal node.
+    Layouts, like the arrays they hold, are equal only to themselves."""
 
+    _fields = ("nodes", "terminal")
     nodes: np.ndarray
     terminal: int
 
-    def __post_init__(self) -> None:
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def _check(self) -> None:
         import numpy as np
 
         nodes = np.asarray(self.nodes, dtype=float)
@@ -236,12 +240,15 @@ class GroupLayout:
         return 2.0 * self.center - self.terminal_position
 
 
-@dataclass(frozen=True, eq=False)
-class LayoutSpec:
+class LayoutSpec(Frozen):
     """Two node groups whose terminals face (or shun) each other."""
 
+    _fields = ("group_a", "group_b")
     group_a: GroupLayout
     group_b: GroupLayout
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     @property
     def separation(self) -> float:
@@ -296,14 +303,14 @@ def random_mirrored_layout(
     return LayoutSpec(group_a=group_a, group_b=group_b)
 
 
-@dataclass(frozen=True)
-class Route:
+class Route(Frozen):
     """One candidate path with its accumulated reinforcement trace."""
 
+    _fields = ("length", "reinforcement")
     length: float
     reinforcement: float = 0.0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         _check_finite(**vars(self))
         if self.length <= 0:
             raise ValidationError(f"route length must be > 0, got {self.length}")
@@ -311,13 +318,13 @@ class Route:
             raise ValidationError(f"reinforcement must be >= 0, got {self.reinforcement}")
 
 
-@dataclass(frozen=True)
-class RouteSet:
+class RouteSet(Frozen):
     """Competing routes between the same two endpoints."""
 
+    _fields = ("routes",)
     routes: tuple[Route, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         object.__setattr__(self, "routes", tuple(self.routes))
 
 
@@ -334,7 +341,7 @@ def stigmergy_reinforce(routes: RouteSet, cycles: int, energy_per_cycle: float) 
         raise ValidationError(f"energy_per_cycle must be > 0, got {energy_per_cycle}")
     return RouteSet(
         tuple(
-            replace(r, reinforcement=r.reinforcement + cycles * energy_per_cycle / r.length)
+            Route(r.length, r.reinforcement + cycles * energy_per_cycle / r.length)
             for r in routes.routes
         )
     )

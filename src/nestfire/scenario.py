@@ -5,7 +5,9 @@ unknown or missing key is an error rather than a silent default. Traces
 serialize to CSV with 1-based neuron/pattern labels and shortest
 round-trip decimal numbers, which makes repeated runs byte-identical and
 the files human-checkable. A trace holds one strength per pattern; the CSV
-lists it once per member neuron, and reading collapses it back.
+lists it once per member neuron, and reading collapses it back. Golden
+comparison works on plain lists, so it needs no numpy; only reading a trace
+and the array-valued fixture functions import it.
 
 Structural problems (bad JSON, wrong keys, wrong types) raise ParseError;
 documents that parse but violate a domain invariant raise ValidationError.
@@ -21,7 +23,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple, TextIO
 
-from .dynamics import MODE_FREE_RUN, MODE_SCHEDULED, Schedule, TraceTable, golden_table
+from .dynamics import MODE_FREE_RUN, MODE_SCHEDULED, Schedule, TraceTable, _golden_rows
 from .errors import AsymmetricPattern, ParseError, ValidationError, WrongShape
 from .topology import EnsembleSpec, brief, build_linear, check_rows, validate
 
@@ -47,9 +49,8 @@ GOLDEN_TOLERANCE = 1e-9
 
 TRACE_HEADER = "step,neuron,pattern,strength"
 FIXTURE_HEADER = "neuron,t3,t4,t5"
-# The CSV columns as numpy record fields: name and type.
+# The trace CSV columns as numpy record fields: name and type.
 _TRACE_ROW = [("step", "i8"), ("neuron", "i8"), ("pattern", "i8"), ("strength", "f8")]
-_FIXTURE_ROW = [("neuron", "i8"), ("t3", "f8"), ("t4", "f8"), ("t5", "f8")]
 
 _MODES = (MODE_SCHEDULED, MODE_FREE_RUN)
 
@@ -241,23 +242,23 @@ def read_trace(text: str) -> TraceTable:
 
 def compare_grids(actual, expected, tolerance: float = GOLDEN_TOLERANCE) -> GoldenReport:
     """Element-wise comparison of two golden-layout grids (rows are neurons
-    1.., columns are steps t=3,4,5). ``tolerance`` must be finite and >= 0."""
-    import numpy as np
-
-    actual = np.asarray(actual, dtype=float)
-    expected = np.asarray(expected, dtype=float)
-    if actual.shape != expected.shape or actual.ndim != 2:
-        raise WrongShape(f"grid shapes disagree: {actual.shape} vs {expected.shape}")
+    1.., columns are steps t=3,4,5), each an array or a sequence of rows.
+    Every cell whose difference is not <= ``tolerance`` is a mismatch, NaN
+    included. ``tolerance`` must be finite and >= 0."""
+    (shape, actual), (other, expected) = _grid(actual), _grid(expected)
+    if shape != other or len(shape) != 2:
+        raise WrongShape(f"grid shapes disagree: {shape} vs {other}")
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValidationError(f"tolerance must be finite and >= 0, got {tolerance}")
-    diff = np.abs(actual - expected)
-    mismatches = tuple(
-        (int(i) + 1, int(j) + 3, float(expected[i, j]), float(actual[i, j]))
-        for i, j in zip(*np.nonzero(diff > tolerance))
-    )
+    errors, mismatches = [], []
+    for i, (row_a, row_e) in enumerate(zip(actual, expected)):
+        for j, (a, e) in enumerate(zip(row_a, row_e)):
+            errors.append(abs(a - e))
+            if not errors[-1] <= tolerance:
+                mismatches.append((i + 1, j + 3, e, a))
     return GoldenReport(
-        max_abs_error=float(diff.max()) if diff.size else 0.0,
-        mismatches=mismatches,
+        max_abs_error=math.nan if any(map(math.isnan, errors)) else max(errors, default=0.0),
+        mismatches=tuple(mismatches),
         passed=not mismatches,
     )
 
@@ -267,28 +268,66 @@ def compare_golden(
 ) -> GoldenReport:
     """Compare a trace's golden grid (neurons 1..25 at t=3,4,5) against a
     25 x 3 fixture grid."""
-    return compare_grids(golden_table(trace), fixture, tolerance)
+    return compare_grids(_golden_rows(trace), fixture, tolerance)
 
 
 def read_golden_fixture(text: str) -> np.ndarray:
     """Parse the golden fixture CSV (header neuron,t3,t4,t5) into a grid."""
     import numpy as np
 
-    neuron, *columns = _read_rows(text, FIXTURE_HEADER, _FIXTURE_ROW)
-    misnumbered = neuron != np.arange(1, len(neuron) + 1)
-    if misnumbered.any():
-        i = int(misnumbered.argmax())
-        raise ParseError(f"line {i + 2}: expected neuron {i + 1}, got {neuron[i]}")
-    return np.column_stack(columns)
+    return np.array(_fixture_rows(text)).reshape(-1, 3)
 
 
 def table1_fixture() -> np.ndarray:
     """The shipped 25 x 3 golden grid, exactly as printed in the reference
     strength table."""
+    import numpy as np
+
+    return np.array(_table1_rows())
+
+
+def _table1_rows() -> list[list[float]]:
+    """:func:`table1_fixture` as one list of floats per neuron, without numpy."""
     from importlib import resources
 
-    text = (resources.files("nestfire") / "data" / "table1_fixture.csv").read_text()
-    return read_golden_fixture(text)
+    return _fixture_rows((resources.files("nestfire") / "data" / "table1_fixture.csv").read_text())
+
+
+def _fixture_rows(text: str) -> list[list[float]]:
+    """The golden fixture CSV as one list of floats per neuron. Blank lines
+    are skipped; the neurons must be numbered 1, 2, ... in order."""
+    lines = list(filter(None, text.splitlines()))
+    if not lines or lines[0] != FIXTURE_HEADER:
+        raise ParseError(f"expected header {FIXTURE_HEADER!r}")
+    neurons, rows = [], []
+    for number, line in enumerate(lines[1:], start=2):
+        try:
+            neuron, t3, t4, t5 = line.split(",")
+            neurons.append(int(neuron))
+            rows.append([float(t3), float(t4), float(t5)])
+        except ValueError:
+            message = f"line {number}: expected fields {FIXTURE_HEADER}, got {line!r}"
+            raise ParseError(message) from None
+    for i, neuron in enumerate(neurons):
+        if neuron != i + 1:
+            raise ParseError(f"line {i + 2}: expected neuron {i + 1}, got {brief(neuron)}")
+    return rows
+
+
+def _grid(grid) -> tuple[tuple[int, ...], list[list[float]]]:
+    """The shape of ``grid``, an array or a sequence of rows, and its rows
+    as floats. An array is read through ``tolist``."""
+    rows = grid.tolist() if hasattr(grid, "tolist") else grid
+    try:
+        rows = [list(map(float, row)) for row in rows]
+    except TypeError:  # a row that is a number, or a cell that is not
+        raise WrongShape("a grid must be a sequence of rows of numbers") from None
+    except ValueError:
+        raise ValidationError("grid cells must be numbers") from None
+    widths = {len(row) for row in rows}
+    if len(widths) > 1:
+        raise WrongShape(f"grid rows differ in length: {min(widths)} to {max(widths)}")
+    return getattr(grid, "shape", (len(rows), *widths)), rows
 
 
 def _check_keys(obj: dict, prefix: str, allowed: set[str]) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import InvalidDimension, UnknownPattern, ValidationError
 
@@ -45,10 +45,31 @@ class PatternSpec(NamedTuple):
 
 
 class Frozen:
-    """Base of the immutable value classes: the attributes ``_fields`` names
-    are set once, in ``__init__``, and make the repr, ``==`` and the hash."""
+    """Base of the immutable value classes. The constructor binds the
+    attributes ``_fields`` names, by position or keyword; a field left out
+    takes the class attribute of its name as its default. It then calls
+    ``_check``, which may validate the fields and coerce them. The fields
+    make the repr, ``==`` and the hash."""
 
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            cls, given = type(self), {**dict(zip(fields, args)), **kwargs}
+            if (
+                len(given) != len(args) + len(kwargs)  # too many, or one given twice
+                or not given.keys() <= set(fields)
+                or not all(name in given or hasattr(cls, name) for name in fields)
+            ):
+                raise TypeError(f"{cls.__name__}() takes the arguments {', '.join(fields)}")
+            args = [given[name] if name in given else getattr(cls, name) for name in fields]
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        self._check()
+
+    def _check(self) -> None:
+        """Validate and coerce the fields once they are bound."""
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -89,12 +110,8 @@ class EnsembleSpec(Frozen):
     excitatory_unit: float
     inhibitory_weight: float
 
-    def __init__(
-        self, patterns: Iterable[PatternSpec], excitatory_unit: float, inhibitory_weight: float
-    ) -> None:
-        object.__setattr__(self, "patterns", tuple(patterns))
-        object.__setattr__(self, "excitatory_unit", excitatory_unit)
-        object.__setattr__(self, "inhibitory_weight", inhibitory_weight)
+    def _check(self) -> None:
+        object.__setattr__(self, "patterns", tuple(self.patterns))
 
     @property
     def num_patterns(self) -> int:

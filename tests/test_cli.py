@@ -8,7 +8,7 @@ from importlib import resources
 
 import pytest
 
-from nestfire import ValidationError, cli, topology
+from nestfire import ValidationError, cli, table1_fixture, topology
 from nestfire.cli import dispatch
 
 HUGE = -int("9" * 401)  # a 401-digit number: no message may print it
@@ -64,7 +64,7 @@ class TestVerifyTable1:
     def test_never_exits_zero_on_mismatch(self, capsys, monkeypatch):
         import nestfire.cli as cli_module
 
-        poked = cli_module.table1_fixture()
+        poked = table1_fixture()
         poked[0, 0] += 1.0
         monkeypatch.setattr(cli_module, "table1_fixture", lambda: poked)
         assert dispatch(["verify-table1"]) == 1

@@ -512,6 +512,45 @@ class TestGoldenComparison:
         report = compare_grids(poked, fixture)
         assert report.mismatches == ((13, 4, 7.5, 6.5),)
 
+    @pytest.mark.parametrize("where", ["actual", "expected", "both"])
+    def test_nan_cell_is_a_mismatch(self, where):
+        fixture = table1_fixture()
+        poked = fixture.copy()
+        poked[0, 0] = math.nan
+        actual = poked if where in ("actual", "both") else fixture
+        expected = poked if where in ("expected", "both") else fixture
+        report = compare_grids(actual, expected, tolerance=0.5)
+        assert not report.passed
+        assert math.isnan(report.max_abs_error)
+        assert [m[:2] for m in report.mismatches] == [(1, 3)]
+
+    def test_grids_may_be_lists(self):
+        fixture = table1_fixture()
+        rows = fixture.tolist()
+        assert compare_grids(rows, fixture) == compare_grids(fixture, fixture)
+        rows[12][1] -= 1.0
+        assert compare_grids(rows, fixture).mismatches == ((13, 4, 7.5, 6.5),)
+
+    @pytest.mark.parametrize(
+        "grid, error, message",
+        [
+            ([[1, 2], [3]], WrongShape, "grid rows differ in length: 1 to 2"),
+            ([1, 2], WrongShape, "sequence of rows"),
+            ([[[1, 2]], [[3, 4]]], WrongShape, "sequence of rows"),
+            ([["x", 2], [3, 4]], ValidationError, "grid cells must be numbers"),
+        ],
+        ids=["ragged", "one-axis", "three-axes", "non-numeric"],
+    )
+    def test_malformed_grids_raise_library_errors(self, grid, error, message):
+        with pytest.raises(error, match=message):
+            compare_grids(grid, [[1, 2], [3, 4]])
+        with pytest.raises(error, match=message):
+            compare_grids([[1, 2], [3, 4]], grid)
+
+
+# What a fixture row that does not parse is reported as, before the row.
+FIELDS = "expected fields neuron,t3,t4,t5, got"
+
 
 class TestFixtureFile:
     def test_shipped_fixture_values(self):
@@ -526,6 +565,31 @@ class TestFixtureFile:
         rows = expand_to_neurons(reference_run(5, 5, 1.0, 0.5, [1, 2, 3, 4, 5], 5), 5)
         expected = np.array(rows[2:5]).T
         assert np.array_equal(table1_fixture(), expected)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "expected header 'neuron,t3,t4,t5'"),
+            ("bogus,header\n", "expected header 'neuron,t3,t4,t5'"),
+            ("neuron,t3,t4,t5\n1,0.0,0.0\n", f"line 2: {FIELDS} '1,0.0,0.0'"),
+            ("neuron,t3,t4,t5\n1,0,0,0,0\n", f"line 2: {FIELDS} '1,0,0,0,0'"),
+            ("neuron,t3,t4,t5\n\n1,0,0,0\n2,x,0,0\n", f"line 3: {FIELDS} '2,x,0,0'"),
+            ("neuron,t3,t4,t5\n1.5,0,0,0\n", f"line 2: {FIELDS} '1.5,0,0,0'"),
+            ("neuron,t3,t4,t5\n1,0,0,0\n3,0,0,0\n", "line 3: expected neuron 2, got 3"),
+            # A row that does not parse is reported before a misnumbered one.
+            ("neuron,t3,t4,t5\n2,0,0,0\n1,0,0,y\n", f"line 3: {FIELDS} '1,0,0,y'"),
+        ],
+        ids=["empty", "header", "short", "long", "bad-float", "bad-int", "numbering", "order"],
+    )
+    def test_malformed_fixture_messages(self, text, message):
+        with pytest.raises(ParseError) as info:
+            read_golden_fixture(text)
+        assert str(info.value) == message
+
+    def test_fixture_parsing_skips_blank_lines_and_keeps_shape(self):
+        grid = read_golden_fixture("neuron,t3,t4,t5\n\n1,7.5, 5.0,-0.0\n\n")
+        assert grid.tolist() == [[7.5, 5.0, -0.0]] and grid.dtype == float
+        assert read_golden_fixture("neuron,t3,t4,t5\n").shape == (0, 3)
 
     def test_malformed_fixture_rejected(self):
         with pytest.raises(ParseError):

@@ -1,22 +1,38 @@
 """Public value semantics of the spec, schedule, state, trace and report
-classes: repr text, equality and hash, rejected assignment, coercion of
-fields to tuples, and validation on construction."""
+classes, and of the counter and energy value classes: repr text, equality
+and hash, rejected assignment, keyword construction, coercion of fields, and
+validation on construction."""
+
+import math
 
 import numpy as np
 import pytest
 
 from nestfire import (
+    ChainSpec,
+    CountEvent,
+    CounterSpec,
+    CounterState,
     EnsembleSpec,
     GoldenReport,
+    GroupLayout,
+    HopSpec,
+    LayoutSpec,
     PatternSpec,
+    Phase,
+    Route,
+    RouteSet,
     Schedule,
     SimState,
     TraceTable,
     ValidationError,
+    WeightChain,
     WrongShape,
     build_linear,
     initial_state,
     run,
+    start,
+    stigmergy_reinforce,
     with_drive,
 )
 
@@ -157,3 +173,192 @@ def test_with_drive_copies_every_other_field():
 def test_trace_table_checks_its_map():
     with pytest.raises(WrongShape):
         TraceTable(np.zeros((1, 2)), np.array([0, 0]))
+
+
+# The value classes of ``counter`` and ``energy``.
+HOP = "HopSpec(distance=0.0, attenuation=0.0, threshold=2.0, impulse=1.0)"
+CHAIN_VALUES = {
+    "counter-spec": (lambda: CounterSpec(3), "CounterSpec(depth=3, label=None)"),
+    "count-event": (lambda: CountEvent(1, 2), "CountEvent(level=1, tick=2)"),
+    "counter-state": (
+        lambda: CounterState(Phase.CASCADING, 1, 1, (CountEvent(1, 1),)),
+        "CounterState(phase=<Phase.CASCADING: 'cascading'>, level=1, tick=1,"
+        " emissions=(CountEvent(level=1, tick=1),))",
+    ),
+    "hop": (lambda: HopSpec(0.0, 0.0, 2.0, 1.0), HOP),
+    "chain": (lambda: ChainSpec([HopSpec(0.0, 0.0, 2.0, 1.0)]), f"ChainSpec(hops=({HOP},))"),
+    "weights": (lambda: WeightChain([5, 2.0]), "WeightChain(weights=(5, 2))"),
+    "route": (lambda: Route(2.0), "Route(length=2.0, reinforcement=0.0)"),
+    "routes": (
+        lambda: RouteSet([Route(2.0, 1.5)]),
+        "RouteSet(routes=(Route(length=2.0, reinforcement=1.5),))",
+    ),
+}
+
+
+@pytest.mark.parametrize("make, text", CHAIN_VALUES.values(), ids=CHAIN_VALUES.keys())
+def test_chain_values_compare_and_hash_equal(make, text):
+    a, b = make(), make()
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert repr(a) == text
+
+
+def test_chain_values_differ_by_field():
+    assert CounterSpec(3) != CounterSpec(3, "c")
+    assert CounterSpec(3) != CounterSpec(4)
+    assert CountEvent(1, 2) != CountEvent(2, 1)
+    assert HopSpec(0.0, 0.0, 2.0, 1.0) != HopSpec(0.0, 0.0, 2.0, 2.0)
+    assert WeightChain((5, 2)) != WeightChain((2, 5))
+    assert Route(2.0) != Route(2.0, 1.0)
+    assert RouteSet([Route(2.0)]) != RouteSet([Route(3.0)])
+    # Not equal to a tuple of the same fields, nor to another class.
+    assert CountEvent(1, 2) != (1, 2)
+    assert CounterSpec(3) != (3, None)
+    assert CountEvent(1, 1) != CounterSpec(1)
+
+
+def test_chain_values_keyword_and_default_constructors():
+    assert CounterSpec(depth=3, label="c") == CounterSpec(3, "c")
+    assert CounterSpec(3, label="c").label == "c"
+    assert CounterSpec(depth=3).label is None
+    assert CountEvent(tick=2, level=1) == CountEvent(1, 2)
+    state = CounterState(phase=Phase.IDLE, level=None, tick=0, emissions=())
+    assert state == CounterState(Phase.IDLE, None, 0, ())
+    hop = HopSpec(impulse=1.0, threshold=2.0, attenuation=0.0, distance=0.0)
+    assert hop == HopSpec(0.0, 0.0, 2.0, 1.0)
+    assert ChainSpec(hops=[hop]) == ChainSpec((hop,))
+    assert WeightChain(weights=[5, 2]) == WeightChain((5, 2))
+    assert Route(length=2.0) == Route(2.0, 0.0)
+    assert Route(2.0, reinforcement=1.0).reinforcement == 1.0
+    assert RouteSet(routes=[Route(2.0)]) == RouteSet((Route(2.0),))
+    group = GroupLayout(nodes=[[0.0, 0.0], [1.0, 0.0]], terminal=1)
+    assert group.terminal == 1 and group.nodes.tolist() == [[0.0, 0.0], [1.0, 0.0]]
+    assert LayoutSpec(group_a=group, group_b=group).group_b is group
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: CounterSpec(),
+        lambda: CounterSpec(1, None, 2),
+        lambda: CounterSpec(depth=1, size=2),
+        lambda: CountEvent(1, level=1),
+        lambda: Route(2.0, length=3.0),
+        lambda: Route(),
+        lambda: HopSpec(0.0, 0.0, 1.0),
+    ],
+    ids=["missing", "too-many", "unknown-keyword", "twice", "twice-with-default", "no-length", "short"],
+)
+def test_chain_values_reject_bad_arguments(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_chain_values_coerce_fields():
+    hop = HopSpec(0.0, 0.0, 2.0, 1.0)
+    assert type(ChainSpec([hop]).hops) is tuple
+    weights = WeightChain([5, 2.0, np.int64(3)]).weights
+    assert weights == (5, 2, 3) and all(type(w) is int for w in weights)
+    assert type(RouteSet([Route(1.0)]).routes) is tuple
+    nodes = GroupLayout([[0, 0], [1, 0]], 0).nodes
+    assert type(nodes) is np.ndarray and nodes.dtype == float
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: HopSpec(-1.0, 0.0, 1.0, 1.0), "distance must be >= 0, got -1.0"),
+        (lambda: HopSpec(0.0, -0.5, 1.0, 1.0), "attenuation must be >= 0, got -0.5"),
+        (lambda: HopSpec(0.0, 0.0, 0.0, 1.0), "threshold must be > 0, got 0.0"),
+        (lambda: HopSpec(0.0, 0.0, 1.0, 0.0), "impulse must be > 0, got 0.0"),
+        (lambda: HopSpec(math.nan, math.inf, 1.0, 1.0), "distance must be finite, got nan"),
+        (lambda: HopSpec(0.0, 0.0, 1.0, math.inf), "impulse must be finite, got inf"),
+        (lambda: ChainSpec(()), "a chain needs at least one hop"),
+        (lambda: WeightChain([]), "a weight chain needs at least one hop"),
+        (lambda: WeightChain([2, 0]), r"all weights must be >= 1, got \(2, 0\)"),
+        (lambda: Route(0.0), "route length must be > 0, got 0.0"),
+        (lambda: Route(length=1.0, reinforcement=-1.0), "reinforcement must be >= 0, got -1.0"),
+        (lambda: Route(math.inf), "length must be finite, got inf"),
+        (lambda: Route(1.0, math.nan), "reinforcement must be finite, got nan"),
+        (
+            lambda: GroupLayout([[0.0, 0.0, 0.0]], 0),
+            r"nodes must be a \(k, 2\) array, got shape \(1, 3\)",
+        ),
+        (lambda: GroupLayout(np.zeros((0, 2)), 0), r"got shape \(0, 2\)"),
+        (lambda: GroupLayout([[math.nan, 0.0]], 0), "node positions must be finite"),
+        (lambda: GroupLayout([[0.0, 0.0]], 1), "terminal 1 not among the 1 nodes"),
+    ],
+    ids=[
+        "negative-distance",
+        "negative-attenuation",
+        "zero-threshold",
+        "zero-impulse",
+        "nan-distance",
+        "infinite-impulse",
+        "no-hops",
+        "no-weights",
+        "zero-weight",
+        "zero-length",
+        "negative-reinforcement",
+        "infinite-length",
+        "nan-reinforcement",
+        "three-columns",
+        "no-nodes",
+        "nan-node",
+        "terminal",
+    ],
+)
+def test_chain_values_validate_on_construction(make, message):
+    with pytest.raises(ValidationError, match=message):
+        make()
+
+
+def _chain_objects():
+    group = GroupLayout([[0.0, 0.0], [1.0, 0.0]], 1)
+    return {
+        "counter-spec": (CounterSpec(3), "depth"),
+        "count-event": (CountEvent(1, 1), "tick"),
+        "counter-state": (start(CounterSpec(2)), "phase"),
+        "hop": (HopSpec(0.0, 0.0, 2.0, 1.0), "impulse"),
+        "chain": (ChainSpec([HopSpec(0.0, 0.0, 2.0, 1.0)]), "hops"),
+        "weights": (WeightChain((5, 2)), "weights"),
+        "group": (group, "terminal"),
+        "layout": (LayoutSpec(group, group), "group_a"),
+        "route": (Route(2.0), "reinforcement"),
+        "routes": (RouteSet([Route(2.0)]), "routes"),
+    }
+
+
+@pytest.mark.parametrize("kind", _chain_objects().keys())
+def test_chain_value_assignment_is_rejected(kind):
+    obj, field = _chain_objects()[kind]
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        setattr(obj, field, 1)
+    with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+        delattr(obj, field)
+    with pytest.raises(AttributeError, match="cannot assign to field 'no_such_field'"):
+        obj.no_such_field = 1
+
+
+def test_layouts_are_equal_only_to_themselves():
+    group = GroupLayout([[0.0, 0.0], [1.0, 0.0]], 1)
+    twin = GroupLayout([[0.0, 0.0], [1.0, 0.0]], 1)
+    assert group == group and group != twin
+    assert hash(group) == object.__hash__(group)
+    layout, other = LayoutSpec(group, twin), LayoutSpec(group, twin)
+    assert layout == layout and layout != other
+    assert hash(layout) == object.__hash__(layout)
+    assert repr(LayoutSpec(group, group)).startswith(
+        "LayoutSpec(group_a=GroupLayout(nodes=array([[0., 0.],"
+    )
+    assert repr(group) == "GroupLayout(nodes=array([[0., 0.],\n       [1., 0.]]), terminal=1)"
+
+
+def test_reinforcement_builds_new_routes():
+    routes = RouteSet([Route(2.0), Route(4.0, 1.0)])
+    after = stigmergy_reinforce(routes, 3, 2.0)
+    assert after == RouteSet([Route(2.0, 3.0), Route(4.0, 2.5)])
+    assert routes == RouteSet([Route(2.0), Route(4.0, 1.0)])
