@@ -26,8 +26,10 @@ first, then ``dynamics`` and ``scenario``. Asking for ``__all__`` (or
 ``from nestfire import *``) loads them all. None of them imports numpy as
 it loads: ``energy``, ``dynamics`` and ``scenario`` import it only inside
 the functions that build arrays (layouts, a trace's arrays, ``SimState``,
-trace reading and the public golden grids), so ``run``, ``write_trace``
-and ``compare_golden`` never load it.
+trace reading and the public golden grids). A trace holds one strength per
+pattern per step and its neurons as blocks, so ``run``,
+``pattern_strength``, ``first_zero_step``, ``write_trace`` and
+``compare_golden`` never load it.
 """
 
 from importlib import import_module

@@ -159,7 +159,10 @@ def _cmd_layout(args) -> int:
     check_rows("--trials", args.trials)
     if args.seed < 0:
         raise ValidationError(f"--seed must be >= 0, got {brief(args.seed)}")
-    import numpy as np
+    try:
+        import numpy as np
+    except ImportError:
+        raise NestfireError("layout needs numpy, which is not installed") from None
 
     from .energy import random_mirrored_layout
 

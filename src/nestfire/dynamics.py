@@ -8,14 +8,14 @@ q loses ``inhibitory_weight * excitatory_unit * size(q)`` per such q.
 Strengths clamp at zero; they never go negative.
 
 Every update is the same for all members of a pattern, so states and traces
-hold one strength per pattern; ``TraceTable.values`` spreads a trace over
-the neurons, laid out as ``topology.members`` says. The step kernel works on
-plain lists of one float per pattern. ``run`` stores a trace's strengths in
-one flat ``array('d')``, step after step, 8 bytes a value. numpy is imported
+hold one strength per pattern, and a trace's neurons are ``(pattern, count)``
+blocks: nothing holds a value per neuron until a caller asks for one. The
+step kernel works on plain lists of one float per pattern. numpy is imported
 only where arrays are built: a table's ``strength``, ``pattern_of`` and
 ``values`` on first read, ``golden_table``, and the ``SimState`` arrays of
-``initial_state`` and ``step``. So ``run`` followed by
-``scenario.write_trace`` or ``scenario.compare_golden`` never loads it.
+``initial_state`` and ``step``. So ``run`` followed by ``pattern_strength``,
+``first_zero_step``, ``scenario.write_trace`` or ``scenario.compare_golden``
+never loads it.
 
 Two firing modes exist:
 
@@ -40,11 +40,13 @@ import math
 from array import array
 from bisect import bisect_right
 from functools import cached_property
-from itertools import islice
+from itertools import groupby
 from operator import add, sub
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .errors import OutOfRange, SpecMismatch, ValidationError, WrongShape
+# ``members`` is not called here, but stays bound: bench/tracing.py swaps it and
+# ``ancestors`` by name, and tests/test_traced_names.py pins both.
 from .topology import EnsembleSpec, Frozen, ancestors, brief, check_rows, members, validate
 
 if TYPE_CHECKING:
@@ -116,16 +118,16 @@ class SimState(NamedTuple):
 class TraceTable(Frozen):
     """Step x pattern strengths plus a neuron-to-pattern map naming every pattern.
 
-    Both are numpy arrays. A table that ``run`` returns holds its strengths
-    in a flat ``array('d')`` and its map in a list instead, and builds each
-    array, importing numpy, only when it is first read; its sizes are read
-    from the lists. Tables are equal only to themselves; the repr shows the
-    strengths.
+    A table holds its strengths as one flat sequence of Python numbers,
+    step after step (``run``'s ``array('d')``, or the constructor's array
+    converted), and its map as ``(pattern, count)`` blocks of neighbouring
+    neurons. The arrays ``strength``, ``pattern_of`` and ``values`` are
+    built from those, importing numpy, when first read; the constructor
+    keeps the arrays it was given as the first two. Tables are equal only
+    to themselves; the repr shows the strengths.
     """
 
     _fields = ("strength",)
-    strength: np.ndarray
-    pattern_of: np.ndarray
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -137,48 +139,30 @@ class TraceTable(Frozen):
         # A set, not np.unique: that imports numpy.ma (tens of ms) on first use.
         if not shapes_ok or set(self.pattern_of.tolist()) != set(range(self.strength.shape[1])):
             raise WrongShape(f"pattern_of must name each pattern of strength{self.strength.shape}")
+        blocks = [(p, len(list(block))) for p, block in groupby(pattern_of.tolist())]
+        self._hold(strength.ravel().tolist(), strength.shape, blocks)
 
-    @classmethod
-    def _of_run(cls, rows: array, num_patterns: int, pattern_of: list[int]) -> TraceTable:
-        """The table of ``run``'s ``rows``, one step's strengths after another."""
-        table = object.__new__(cls)
-        object.__setattr__(table, "_lists", (rows, num_patterns, pattern_of))
-        return table
-
-    def __getattr__(self, name: str):
-        # Reached only for an attribute not set: the arrays of a table from
-        # ``_of_run``, each built on its first read.
-        lists = self.__dict__.get("_lists")
-        if lists is None or name not in ("strength", "pattern_of"):
-            raise AttributeError(name)
-        import numpy as np
-
-        rows, num_patterns, pattern_of = lists
-        if name == "strength":
-            value = np.frombuffer(rows).reshape(-1, num_patterns)
-        else:
-            value = np.array(pattern_of, dtype=int)
-        object.__setattr__(self, name, value)
-        return value
-
-    def _python_rows(self) -> tuple[Iterator[Sequence[float]], list[int]]:
-        """Each step's strengths and the neuron-to-pattern map as Python numbers:
-        ``run``'s own lists, or else the arrays converted."""
-        if "_lists" not in self.__dict__:
-            return (row.tolist() for row in self.strength), self.pattern_of.tolist()
-        rows, num_patterns, pattern_of = self._lists
-        steps = range(0, len(rows), num_patterns)
-        return (rows[start : start + num_patterns] for start in steps), pattern_of
-
-    @property
-    def num_steps(self) -> int:
-        lists = self.__dict__.get("_lists")
-        return self.strength.shape[0] if lists is None else len(lists[0]) // lists[1]
+    def _hold(self, rows: Sequence, shape: tuple[int, int], blocks: list) -> TraceTable:
+        """Store the one form of a table: ``run`` makes its tables with this."""
+        vars(self).update(_rows=rows, num_steps=shape[0], num_patterns=shape[1], _blocks=blocks)
+        return self
 
     @property
     def num_neurons(self) -> int:
-        lists = self.__dict__.get("_lists")
-        return self.pattern_of.shape[0] if lists is None else len(lists[2])
+        return sum(count for _, count in self._blocks)
+
+    @cached_property
+    def strength(self) -> np.ndarray:
+        import numpy as np
+
+        return np.array(self._rows, dtype=float).reshape(self.num_steps, self.num_patterns)
+
+    @cached_property
+    def pattern_of(self) -> np.ndarray:
+        import numpy as np
+
+        patterns, counts = np.array(self._blocks, dtype=int).reshape(-1, 2).T
+        return np.repeat(patterns, counts)
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -267,20 +251,18 @@ def run(
     for t in range(1, steps + 1):
         state = advance(t, state, True)
         rows.fromlist(state.strength)
-    pattern_of = [0] * spec.num_neurons
-    for p in range(spec.num_patterns):
-        for i in members(spec, p):
-            pattern_of[i] = p
-    return TraceTable._of_run(rows, spec.num_patterns, pattern_of)
+    # Patterns occupy neighbouring blocks of neurons, in pattern order.
+    blocks = [(k, p.size) for k, p in enumerate(spec.patterns)]
+    return object.__new__(TraceTable)._hold(rows, (steps, spec.num_patterns), blocks)
 
 
 def pattern_strength(trace: TraceTable, pattern: int, t: int) -> float:
     """The strength every member of ``pattern`` holds after step ``t`` (1-based)."""
     if not 1 <= t <= trace.num_steps:
         raise OutOfRange(f"step {t} not in 1..{trace.num_steps}")
-    if not 0 <= pattern < trace.strength.shape[1]:
+    if not 0 <= pattern < trace.num_patterns:
         raise OutOfRange(f"pattern {pattern} not present in trace")
-    return float(trace.strength[t - 1, pattern])
+    return float(trace._rows[(t - 1) * trace.num_patterns + pattern])
 
 
 def first_zero_step(trace: TraceTable, pattern: int) -> int | None:
@@ -311,9 +293,9 @@ def _golden_rows(trace: TraceTable) -> list[list[float]]:
             f"need a 25-neuron trace of >= 5 steps, got {trace.num_neurons} neurons"
             f" x {trace.num_steps} steps"
         )
-    rows, pattern_of = trace._python_rows()
-    columns = list(islice(rows, 2, 5))
-    return [[column[p] for column in columns] for p in pattern_of]
+    rows, num = trace._rows, trace.num_patterns
+    columns = [rows[t * num : (t + 1) * num] for t in (2, 3, 4)]
+    return [[column[p] for column in columns] for p, count in trace._blocks for _ in range(count)]
 
 
 def with_drive(state: SimState, drive: bool) -> SimState:

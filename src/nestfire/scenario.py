@@ -19,8 +19,7 @@ import json
 import math
 import sys
 from functools import partial
-from itertools import groupby
-from operator import itemgetter
+from itertools import islice
 from typing import TYPE_CHECKING, NamedTuple, TextIO
 
 from .dynamics import MODE_FREE_RUN, MODE_SCHEDULED, Schedule, TraceTable, _golden_rows
@@ -194,16 +193,16 @@ def write_trace(trace: TraceTable, out: TextIO | None = None) -> str | None:
     With a text handle ``out``, the header and then each step's rows go to it
     one write at a time, so memory holds one step's text, and None is
     returned. Without one, the whole text is returned as a string."""
-    rows, pattern_of = trace._python_rows()
-    blocks = [
-        (p, [f"{i},{p + 1}," for i, _ in members])
-        for p, members in groupby(enumerate(pattern_of, start=1), key=itemgetter(1))
-    ]
+    blocks, first = [], 1
+    for p, count in trace._blocks:
+        blocks.append((p, [f"{i},{p + 1}," for i in range(first, first + count)]))
+        first += count
+    rows, num = trace._rows, trace.num_patterns
     parts: list[str] = []
     write = parts.append if out is None else out.write
     write(TRACE_HEADER + "\n")
-    for t, row in enumerate(rows, start=1):
-        head, chunks = f"{t},", []
+    for t in range(trace.num_steps):
+        head, chunks, row = f"{t + 1},", [], rows[t * num : (t + 1) * num]
         for p, labels in blocks:
             tail = f"{row[p]!r}\n"
             chunks += (head, (tail + head).join(labels), tail)
@@ -228,7 +227,8 @@ def read_trace(text: str) -> TraceTable:
     if misplaced.any():
         i = int(misplaced.argmax())
         want, got = expected[:, i].tolist(), labels[:, i].tolist()
-        raise ParseError(f"line {i + 2}: expected step, neuron, pattern {want}, got {got}")
+        message = f"expected step, neuron, pattern {want}, got {got}"
+        raise ParseError(f"line {_line_of(text, i)}: {message}")
     values = strength.reshape(num_steps, num_neurons)
     pattern_of = pattern[:num_neurons] - 1
     first_member = np.unique(pattern_of, return_index=True)[1]
@@ -300,17 +300,18 @@ def _fixture_rows(text: str) -> list[list[float]]:
     if not lines or lines[0] != FIXTURE_HEADER:
         raise ParseError(f"expected header {FIXTURE_HEADER!r}")
     neurons, rows = [], []
-    for number, line in enumerate(lines[1:], start=2):
+    for i, line in enumerate(lines[1:]):
         try:
             neuron, t3, t4, t5 = line.split(",")
             neurons.append(int(neuron))
             rows.append([float(t3), float(t4), float(t5)])
         except ValueError:
-            message = f"line {number}: expected fields {FIXTURE_HEADER}, got {line!r}"
+            message = f"line {_line_of(text, i)}: expected fields {FIXTURE_HEADER}, got {line!r}"
             raise ParseError(message) from None
     for i, neuron in enumerate(neurons):
         if neuron != i + 1:
-            raise ParseError(f"line {i + 2}: expected neuron {i + 1}, got {brief(neuron)}")
+            message = f"line {_line_of(text, i)}: expected neuron {i + 1}, got {brief(neuron)}"
+            raise ParseError(message)
     return rows
 
 
@@ -377,6 +378,13 @@ def _read_rows(text: str, header: str, fields: list[tuple[str, str]]) -> list[np
                 lo = mid
             except ValueError:
                 hi = mid
-        raise ParseError(f"line {lo + 2}: expected fields {header}, got {rows[lo]!r}") from None
+        message = f"line {_line_of(text, lo)}: expected fields {header}, got {rows[lo]!r}"
+        raise ParseError(message) from None
     return [table[name] for name in row.names]
 
+
+def _line_of(text: str, row: int) -> int:
+    """The line number in ``text`` of CSV data row ``row`` (0-based), the
+    header and blank lines counted."""
+    numbers = (n for n, line in enumerate(text.splitlines(), start=1) if line)
+    return next(islice(numbers, row + 1, None))

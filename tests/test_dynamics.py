@@ -6,6 +6,7 @@ values come from the shipped fixture.
 """
 
 import itertools
+import tracemalloc
 from array import array
 from functools import partial
 
@@ -173,6 +174,21 @@ class TestRun:
         assert run(STANDARD, STAGGERED, 2).num_steps == 2  # 2 steps x 25 neurons
         with pytest.raises(ValidationError, match="budget of 50 rows"):
             run(STANDARD, STAGGERED, 3)
+
+    def test_memory_does_not_grow_with_the_neurons(self):
+        # One pattern of n neurons for one step: a run holds one value per
+        # pattern, so 10**6 neurons cost what 10**5 do, far below 8 bytes each.
+        peaks = []
+        for neurons in (10**5, 10**6):
+            spec = build_linear(1, neurons, 1.0, 0.5)
+            tracemalloc.start()
+            try:
+                run(spec, Schedule((1,)), 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 64_000, peaks
+        assert peaks[1] < peaks[0] + 8_000, peaks
 
     def test_pattern_of_layout(self):
         trace = run(STANDARD, STAGGERED, 2)

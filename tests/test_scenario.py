@@ -260,6 +260,9 @@ class TestTraceSerialization:
         text = "\n".join(["step,neuron,pattern,strength", *rows]) + "\n"
         with pytest.raises(ParseError, match=f"^line {line}: "):
             read_trace(text)
+        # A blank line is a line: below one, the bad row is a line further down.
+        with pytest.raises(ParseError, match=f"^line {line + 1}: "):
+            read_trace(text.replace("\n", "\n\n", 1))
 
     @pytest.mark.parametrize(
         "first, second",
@@ -573,7 +576,7 @@ class TestFixtureFile:
             ("bogus,header\n", "expected header 'neuron,t3,t4,t5'"),
             ("neuron,t3,t4,t5\n1,0.0,0.0\n", f"line 2: {FIELDS} '1,0.0,0.0'"),
             ("neuron,t3,t4,t5\n1,0,0,0,0\n", f"line 2: {FIELDS} '1,0,0,0,0'"),
-            ("neuron,t3,t4,t5\n\n1,0,0,0\n2,x,0,0\n", f"line 3: {FIELDS} '2,x,0,0'"),
+            ("neuron,t3,t4,t5\n\n1,0,0,0\n2,x,0,0\n", f"line 4: {FIELDS} '2,x,0,0'"),
             ("neuron,t3,t4,t5\n1.5,0,0,0\n", f"line 2: {FIELDS} '1.5,0,0,0'"),
             ("neuron,t3,t4,t5\n1,0,0,0\n3,0,0,0\n", "line 3: expected neuron 2, got 3"),
             # A row that does not parse is reported before a misnumbered one.
@@ -585,6 +588,10 @@ class TestFixtureFile:
         with pytest.raises(ParseError) as info:
             read_golden_fixture(text)
         assert str(info.value) == message
+
+    def test_misnumbered_neuron_after_blank_lines_names_its_line(self):
+        with pytest.raises(ParseError, match="^line 5: expected neuron 2, got 3$"):
+            read_golden_fixture("\nneuron,t3,t4,t5\n1,0,0,0\n\n3,0,0,0\n")
 
     def test_fixture_parsing_skips_blank_lines_and_keeps_shape(self):
         grid = read_golden_fixture("neuron,t3,t4,t5\n\n1,7.5, 5.0,-0.0\n\n")

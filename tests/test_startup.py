@@ -101,17 +101,33 @@ def test_version_and_simulate_load_only_what_they_run(tmp_path, command, flags):
     assert result.stdout or command == "simulate-out"
 
 
+def test_layout_without_numpy_is_one_error_line():
+    # A None entry in sys.modules makes ``import numpy`` fail as if it were not installed.
+    code = 'import sys; sys.modules["numpy"] = None\n' + RUN_MODULE
+    result = child(code, "nestfire.energy", "layout", "--trials", "2")
+    assert result.stderr.splitlines() == [
+        "nestfire: error: layout needs numpy, which is not installed",
+        "loaded=[] exit=2",
+    ]
+    assert result.stdout == ""
+
+
 def test_run_and_streamed_write_load_no_numpy():
     result = child(
         "import io, sys\n"
-        "from nestfire import Schedule, build_linear, run, write_trace\n"
+        "from nestfire import Schedule, build_linear, first_zero_step, pattern_strength, run,"
+        " write_trace\n"
         "out = io.StringIO()\n"
         "trace = run(build_linear(3, 2, 1.0, 1 / 3), Schedule((2, 1, 3)), 6, 'free_run')\n"
         "write_trace(trace, out)\n"
         "print(len(out.getvalue().splitlines()), 'numpy' in sys.modules)\n"
+        # The README example, and the other per-pattern reader.
+        "trace = run(build_linear(5, 5, 1.0, 0.5), Schedule.staggered(5), 5)\n"
+        "print(pattern_strength(trace, 0, 5), pattern_strength(trace, 4, 5),"
+        " first_zero_step(trace, 0), first_zero_step(trace, 4), 'numpy' in sys.modules)\n"
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "37 False\n"
+    assert result.stdout == "37 False\n0.0 5.0 5 None False\n"
 
 
 def test_import_and_numpy_free_names_load_no_numpy():
