@@ -4,10 +4,10 @@ or property failure, 2 invalid input."""
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from importlib import import_module
+from types import SimpleNamespace
 
 from . import __version__
 from .errors import NestfireError, ValidationError
@@ -41,50 +41,73 @@ layout_distances = _deferred("energy", "layout_distances")
 DEFAULT_SEED = 12345
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse with a one-line diagnostic on usage errors."""
-
-    def error(self, message: str) -> None:
-        self.exit(2, f"{self.prog}: error: {message}\n")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="nestfire", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"nestfire {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="run a scenario file and emit its trace")
-    p.add_argument("--scenario", required=True, metavar="FILE", help="scenario document")
-    p.add_argument("--out", metavar="FILE", help="trace destination (default: stdout)")
-
-    p = sub.add_parser("verify-table1", help="check the built-in run against the shipped fixture")
-    # No default here: it is scenario.GOLDEN_TOLERANCE, and parsing imports no scenario.
-    p.add_argument("--tolerance", type=float)
-
-    p = sub.add_parser("counter", help="run a nested counter and print its count events")
-    p.add_argument("--depth", type=int, required=True)
-
-    p = sub.add_parser("chain", help="source firings for a weighted chain, two ways")
-    p.add_argument("--hops", required=True, metavar="W1,W2,...", help="per-hop firing counts")
-
-    p = sub.add_parser("center", help="centering costs along a weighted line")
-    p.add_argument("--weights", required=True, metavar="W1,W2,...", help="per-hop firing counts")
-
-    p = sub.add_parser("layout", help="inward vs outward distances over random facing layouts")
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    return parser
-
-
 def dispatch(argv: list[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        handler, args = _parse(argv)
+        code = handler(args) or 0  # ``print`` answers --help and --version
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader left early (``| head``): stop quietly. Point stdout at
+        # devnull so that the flush at exit does not fail on the same pipe.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (NestfireError, OSError, ValueError) as exc:
         # ValueError too: a scenario file that is not UTF-8 raises UnicodeDecodeError.
         print(f"nestfire: error: {exc}", file=sys.stderr)
         return 2
+
+
+def _parse(argv: list[str]):
+    """``print`` and the text for ``-h``/``--help`` or ``--version``, else the handler and
+    its flags' values, from ``--flag value`` or ``--flag=value`` by name or unique prefix,
+    the last repeat winning. A usage error raises ValidationError."""
+    if "-h" in argv or "--help" in argv:
+        return print, _usage()
+    if "--version" in argv:
+        return print, f"nestfire {__version__}"
+    if not argv or argv[0] not in _COMMANDS:
+        got = f"unknown command {_shown(argv[0])}" if argv else "no command"
+        raise ValidationError(f"{got}; choose one of {', '.join(_COMMANDS)}")
+    command, tokens = argv[0], iter(argv[1:])
+    handler, _, flags = _COMMANDS[command]
+    values = {flag: default for flag, (_, default) in flags.items()}
+    for token in tokens:
+        name, equals, value = token.partition("=")
+        # No flag name is a prefix of another, so a whole name is a unique prefix.
+        found = [n for n in (*flags, "help", "version") if name[2:] and f"--{n}".startswith(name)]
+        if len(found) != 1:
+            problem = "ambiguous" if found else "unknown"
+            choices = ", ".join(f"--{n}" for n in found or flags)
+            raise ValidationError(f"{problem} flag {_shown(name)} for {command}; choose {choices}")
+        if (flag := found[0]) in ("help", "version"):
+            return _parse([f"--{flag}"])
+        if not equals and (value := next(tokens, "--")).startswith("--"):
+            raise ValidationError(f"--{flag} expects a value")
+        convert = flags[flag][0]
+        try:
+            values[flag] = convert(value)
+        except ValueError:
+            raise ValidationError(f"--{flag}: invalid {convert.__name__} {_shown(value)}") from None
+    for flag, value in values.items():
+        if value is ...:
+            raise ValidationError(f"{command} requires --{flag}")
+    return handler, SimpleNamespace(**values)
+
+
+def _shown(text: str) -> str:  # quoted for a message, and cut short
+    return repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
+
+
+def _usage() -> str:
+    lines = ["usage: nestfire [-h | --version] COMMAND [--FLAG VALUE]...", "", "commands:"]
+    for command, (_, help_line, flags) in _COMMANDS.items():
+        for flag, (convert, default) in flags.items():
+            usage = f"--{flag} {convert.__name__.upper()}"
+            command += f" {usage}" if default is ... else f" [{usage}]"
+        lines += [f"  {command}", f"      {help_line}"]
+    lines += ["", "A flag is --FLAG VALUE or --FLAG=VALUE, and may be cut to a unique prefix."]
+    return "\n".join(lines + ["Exit codes: 0 success or pass, 1 failed check, 2 invalid input."])
 
 
 def _cmd_simulate(args) -> int:
@@ -95,14 +118,8 @@ def _cmd_simulate(args) -> int:
     if args.out:
         with open(args.out, "w") as out:
             write_trace(trace, out)
-        return 0
-    try:
+    else:
         write_trace(trace, sys.stdout)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader left early (``| head``): stop quietly. Point stdout at
-        # devnull so that the flush at exit does not fail on the same pipe.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 
@@ -205,13 +222,18 @@ def _printable(value: int, flag: str) -> int:
     return value
 
 
+# command: (handler, help line, {flag: (converter, default or ... if required)})
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "verify-table1": _cmd_verify_table1,
-    "counter": _cmd_counter,
-    "chain": _cmd_chain,
-    "center": _cmd_center,
-    "layout": _cmd_layout,
+    "simulate": (_cmd_simulate, "run a scenario file and write its trace (default: to stdout)",
+                 {"scenario": (str, ...), "out": (str, None)}),
+    # No --tolerance default: it is scenario.GOLDEN_TOLERANCE, and parsing imports no scenario.
+    "verify-table1": (_cmd_verify_table1, "check the built-in run against the shipped fixture",
+                      {"tolerance": (float, None)}),
+    "counter": (_cmd_counter, "print a nested counter's count events", {"depth": (int, ...)}),
+    "chain": (_cmd_chain, "source firings for a weighted chain, two ways", {"hops": (str, ...)}),
+    "center": (_cmd_center, "centering costs along a weighted line", {"weights": (str, ...)}),
+    "layout": (_cmd_layout, "inward vs outward distances over random facing layouts",
+               {"trials": (int, 50), "seed": (int, DEFAULT_SEED)}),
 }
 
 

@@ -262,7 +262,10 @@ def pattern_strength(trace: TraceTable, pattern: int, t: int) -> float:
         raise OutOfRange(f"step {t} not in 1..{trace.num_steps}")
     if not 0 <= pattern < trace.num_patterns:
         raise OutOfRange(f"pattern {pattern} not present in trace")
-    return float(trace._rows[(t - 1) * trace.num_patterns + pattern])
+    value = trace._rows[(t - 1) * trace.num_patterns + pattern]
+    if isinstance(value, complex):
+        raise WrongShape(f"strengths must be real numbers, got {value!r}")
+    return float(value)
 
 
 def first_zero_step(trace: TraceTable, pattern: int) -> int | None:

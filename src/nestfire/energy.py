@@ -181,12 +181,12 @@ def event_oracle(chain: ChainSpec) -> int:
 
 def hops_from_weights(chain: WeightChain, impulse: float = 1.0) -> ChainSpec:
     """Zero-distance chain whose per-hop requirement equals each weight."""
-    return ChainSpec(
-        tuple(
-            HopSpec(distance=0.0, attenuation=0.0, threshold=w * impulse, impulse=impulse)
-            for w in chain.weights
-        )
-    )
+    try:
+        thresholds = [w * impulse for w in chain.weights]
+    except OverflowError:
+        raise ValidationError("a weight is beyond the range of a float") from None
+    hops = (HopSpec(distance=0.0, attenuation=0.0, threshold=t, impulse=impulse) for t in thresholds)
+    return ChainSpec(tuple(hops))
 
 
 def centering_cost(chain: WeightChain, position: int) -> int:

@@ -8,6 +8,7 @@ from importlib import resources
 
 import pytest
 
+import nestfire
 from nestfire import ValidationError, cli, table1_fixture, topology
 from nestfire.cli import dispatch
 
@@ -262,6 +263,11 @@ class TestChain:
         assert err.startswith("nestfire: error:") and "source firings" in err
         assert err.count("\n") == 1
 
+    def test_weight_beyond_float_range_is_one_error_line(self, capsys):
+        assert dispatch(["chain", "--hops", "1" + "0" * 400]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "nestfire: error: a weight is beyond the range of a float\n")
+
     def test_product_too_long_to_print_names_the_flag(self, capsys):
         # 1000**1500 has 4501 digits, over the 4300 Python converts to text by default.
         assert dispatch(["chain", "--hops", ",".join(["1000"] * 1500)]) == 2
@@ -350,19 +356,107 @@ def test_argument_errors_are_validation_errors(call):
         call()
 
 
+COUNTED_TO_3 = "count level=1 tick=1\ncount level=2 tick=2\ncount level=3 tick=3\nquiescent tick=5\n"
+COMMANDS = ["simulate", "verify-table1", "counter", "chain", "center", "layout"]
+CHOOSE = "choose one of " + ", ".join(COMMANDS)
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            dispatch(["transmogrify"])
-        assert excinfo.value.code == 2
+        assert dispatch(["transmogrify"]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
 
     def test_missing_required_flag(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            dispatch(["counter"])
-        assert excinfo.value.code == 2
-        capsys.readouterr()
+        assert dispatch(["counter"]) == 2
+        assert capsys.readouterr().err == "nestfire: error: counter requires --depth\n"
+
+    # Exit 0 with the counter's output, or exit 2 with exactly this one line.
+    @pytest.mark.parametrize(
+        "argv, code, text",
+        [
+            ([], 2, f"no command; {CHOOSE}"),
+            (["transmogrify"], 2, f"unknown command 'transmogrify'; {CHOOSE}"),
+            (["--depth", "3"], 2, f"unknown command '--depth'; {CHOOSE}"),
+            (["counter", "--width", "3"], 2, "unknown flag '--width' for counter; choose --depth"),
+            (["counter", "3"], 2, "unknown flag '3' for counter; choose --depth"),
+            (["counter", "-d", "3"], 2, "unknown flag '-d' for counter; choose --depth"),
+            (["counter", "--depth"], 2, "--depth expects a value"),
+            (["counter", "--depth", "--depth", "3"], 2, "--depth expects a value"),
+            (["simulate", "--out", "trace.csv"], 2, "simulate requires --scenario"),
+            (["counter", "--depth", "three"], 2, "--depth: invalid int 'three'"),
+            (["counter", "--depth", "3.0"], 2, "--depth: invalid int '3.0'"),
+            (["verify-table1", "--tolerance", "tight"], 2, "--tolerance: invalid float 'tight'"),
+            (["counter", "--depth", str(HUGE)], 2, f"counter depth must be >= 1, got {SHORT}"),
+            (
+                ["counter", "--depth", "1" + "0" * 400],
+                2,
+                f"counter depth exceeds the budget of {topology.MAX_ROWS} rows",
+            ),
+            (
+                ["counter", "--depth", "9" * 400 + "x"],
+                2,
+                f"--depth: invalid int '{'9' * 20}'... (401 characters)",
+            ),
+            (["chain", "--h", "2,2"], 2, "ambiguous flag '--h' for chain; choose --hops, --help"),
+            (["counter", "--depth=3"], 0, COUNTED_TO_3),
+            (["counter", "--dep", "3"], 0, COUNTED_TO_3),
+            (["counter", "--d=3"], 0, COUNTED_TO_3),
+            (["counter", "--depth", "x", "--depth", "3"], 2, "--depth: invalid int 'x'"),
+            (["counter", "--depth", "7", "--depth", "3"], 0, COUNTED_TO_3),
+            (["counter", "--depth=7", "--de", "3"], 0, COUNTED_TO_3),
+        ],
+        ids=[
+            "no-command",
+            "unknown-command",
+            "flag-before-command",
+            "unknown-flag",
+            "stray-value",
+            "short-flag",
+            "missing-value",
+            "flag-as-value",
+            "missing-required-flag",
+            "bad-int",
+            "float-for-int",
+            "bad-float",
+            "huge-negative-depth",
+            "huge-depth",
+            "huge-bad-depth",
+            "ambiguous-prefix",
+            "equals",
+            "prefix",
+            "prefix-equals",
+            "bad-then-good",
+            "repeated",
+            "repeated-mixed",
+        ],
+    )
+    def test_flag_syntax(self, capsys, argv, code, text):
+        assert dispatch(argv) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert (out, err) == ("", f"nestfire: error: {text}\n")
+        else:
+            assert (out, err) == (text, "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["-h"], ["--help"], ["counter", "-h"], ["layout", "--trials", "x", "--help"], ["chain", "--he"]],
+        ids=["h", "help", "after-command", "after-bad-value", "prefix"],
+    )
+    def test_help_lists_every_command(self, capsys, argv):
+        assert dispatch(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.startswith("usage: nestfire ")
+        listed = [line.split()[0] for line in out.splitlines() if line[:2] == "  " != line[2:4]]
+        assert listed == COMMANDS
+        assert "  counter --depth INT\n" in out and "  layout [--trials INT] [--seed INT]\n" in out
+
+    @pytest.mark.parametrize("argv", [["--version"], ["counter", "--version"], ["layout", "--vers"]])
+    def test_version_anywhere(self, capsys, argv):
+        assert dispatch(argv) == 0
+        assert capsys.readouterr() == (f"nestfire {nestfire.__version__}\n", "")
 
 
 class TestEntryPoint:
@@ -374,6 +468,37 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert result.stdout == "pass max_abs_error=0\n"
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [(["counter"], 2), (["--help"], 0), (["counter", "-h"], 0)],
+        ids=["usage-error", "help", "help-after-command"],
+    )
+    def test_usage_through_the_module(self, args, code):
+        result = subprocess.run(
+            [sys.executable, "-m", "nestfire", *args], capture_output=True, text=True
+        )
+        assert result.returncode == code
+        if code:
+            assert (result.stdout, result.stderr) == ("", "nestfire: error: counter requires --depth\n")
+        else:
+            assert result.stderr == "" and result.stdout.startswith("usage: nestfire ")
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--help"], ["--version"], ["counter", "--depth", "3"]],
+        ids=["help", "version", "counter"],
+    )
+    def test_reader_gone_before_any_output_is_quiet(self, args):
+        child = subprocess.Popen(
+            [sys.executable, "-m", "nestfire", *args],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        child.stdout.close()  # long before the child writes its first line
+        err = child.stderr.read()
+        child.stderr.close()
+        assert (child.wait(), err) == (0, b"")
 
     def test_unit_beyond_float_range_exits_2_without_a_traceback(self, tmp_path, scenario_file):
         bad = tmp_path / "bad.scenario"

@@ -117,6 +117,11 @@ class TestEventOracle:
     def test_single_unit_hop(self):
         assert event_oracle(hops_from_weights(WeightChain((1,)))) == 1
 
+    def test_weight_beyond_float_range_is_a_validation_error(self):
+        # 10**400 has no float threshold; before, float() raised a bare OverflowError.
+        with pytest.raises(ValidationError, match="beyond the range of a float"):
+            hops_from_weights(WeightChain((2, 10**400)))
+
     def test_longer_chain(self):
         # 12 = this oracle on [3, 2, 2]; cross-check = product rule
         assert event_oracle(hops_from_weights(WeightChain((3, 2, 2)))) == 12

@@ -1,4 +1,5 @@
-"""Fuzzed scenario documents through ``parse_scenario`` and ``nestfire simulate``.
+"""Fuzzed scenario documents through ``parse_scenario`` and ``nestfire simulate``,
+and fuzzed argument lists through the front door of every command.
 
 Each document is the shipped scenario, with a staggered or an explicit
 schedule and in either mode, with a few fields (or whole objects) replaced by
@@ -8,18 +9,21 @@ return a Scenario or raise a NestfireError; the command may only exit 0, 1 or
 2, with at most a one-line diagnostic and never an escaping exception.
 Integers drawn in range are at most 8, so a document that does parse runs in
 a few steps of a few small patterns; larger ones are beyond the row budget.
+Argument lists draw their numbers from a small set, and weights of at most
+9, so that no drawn case runs a large counter, chain or layout.
 """
 
 import contextlib
 import io
 import json
+import os
 from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nestfire import NestfireError, Scenario, parse_scenario
+from nestfire import NestfireError, Scenario, cli, parse_scenario, topology
 from nestfire.cli import dispatch
 
 SHIPPED = (resources.files("nestfire") / "data" / "table1.scenario").read_text()
@@ -142,3 +146,55 @@ def test_simulate_refuses_a_file_that_is_not_utf8(workdir, data, position, garba
     assert code == 2
     assert out == ""
     assert err.startswith("nestfire: error:") and err.count("\n") == 1
+
+
+# The real commands and flags, numbers that are invalid, tiny or over a
+# budget, short weight lists, the shipped and a missing scenario, and junk.
+FLAGS = sorted({flag for _, _, flags in cli._COMMANDS.values() for flag in flags} | {"help", "version"})
+VALUES = st.one_of(
+    st.sampled_from(["-1", "0", "1", "3", str(topology.MAX_ROWS + 1), "9" * 401]),
+    st.lists(st.integers(-1, 9), min_size=1, max_size=4).map(lambda ws: ",".join(map(str, ws))),
+    st.sampled_from(["table1.scenario", "no.scenario"]),  # relative to the work directory
+    st.sampled_from(["", "-", "--", "-x", "x", "=", "1.5", "nan", "a\nb", "\u00e9", "out.csv"]),
+)
+TOKENS = st.one_of(
+    st.sampled_from([f"--{flag}" for flag in FLAGS] + ["-h", *cli._COMMANDS]),
+    st.builds(lambda flag, value: f"--{flag}={value}", st.sampled_from(FLAGS), VALUES),
+    VALUES,
+)
+
+
+@st.composite
+def argument_lists(draw) -> list[str]:
+    """A command (now and then a stray token instead), a few of its flags,
+    each by name or prefix with its value after it or after ``=``, then a few
+    stray tokens."""
+    command = draw(st.sampled_from([*cli._COMMANDS, None])) or draw(TOKENS)
+    flags = list(cli._COMMANDS[command][2]) if command in cli._COMMANDS else FLAGS
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=3)):
+        name, value = f"--{flag[: draw(st.integers(1, len(flag)))]}", draw(VALUES)
+        argv += draw(st.sampled_from([[name, value], [f"{name}={value}"]]))
+    return argv + draw(st.lists(TOKENS, max_size=3))
+
+
+@settings(max_examples=400, deadline=None)
+@given(argument_lists())
+def test_every_command_exits_0_1_or_2_without_a_traceback(workdir, argv):
+    # Run in the work directory, where a drawn --out lands, with a fresh copy
+    # of the shipped scenario that an earlier --out may have overwritten.
+    (workdir / "table1.scenario").write_text(SHIPPED)
+    out, err = io.StringIO(), io.StringIO()
+    here = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = dispatch(argv)
+    finally:
+        os.chdir(here)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("nestfire: error:") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""

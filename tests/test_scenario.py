@@ -26,7 +26,9 @@ from nestfire import (
     build_linear,
     compare_golden,
     compare_grids,
+    first_zero_step,
     parse_scenario,
+    pattern_strength,
     read_golden_fixture,
     read_trace,
     run,
@@ -406,6 +408,16 @@ class TestWriterMatchesReference:
     def test_table_needs_a_matrix_and_a_map(self, strength, pattern_of):
         with pytest.raises(WrongShape):
             TraceTable(strength=strength, pattern_of=pattern_of)
+
+    @pytest.mark.parametrize(
+        "query, args",
+        [(pattern_strength, (0, 1)), (first_zero_step, (0,))],
+        ids=["pattern_strength", "first_zero_step"],
+    )
+    def test_complex_table_queries_raise_wrong_shape(self, query, args):
+        # Such a table writes (its text is pinned above), but has no real strength to report.
+        with pytest.raises(WrongShape, match="strengths must be real numbers, got 1j"):
+            query(WRITER_CASES["complex"], *args)
 
 
 class Recorder:

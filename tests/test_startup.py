@@ -5,8 +5,10 @@ each other module only when a command calls into it. ``dynamics`` and
 ``scenario`` import numpy only where they build arrays, so neither
 ``simulate`` nor ``verify-table1`` loads it; only ``layout`` does. No value
 class is a dataclass, so the commands that load no numpy load no
-``dataclasses`` or ``inspect`` either. Each check that a module stays out
-runs in a fresh interpreter, since this one has long imported it.
+``dataclasses`` or ``inspect`` either. ``cli`` parses its arguments from a
+table, so no command loads ``argparse`` or ``gettext``. Each check that a
+module stays out runs in a fresh interpreter, since this one has long
+imported it.
 """
 
 import importlib
@@ -38,11 +40,13 @@ except SystemExit as exc:
 print(f"loaded={[m for m in watched if m in sys.modules]} exit={code}", file=sys.stderr)
 """
 
+# What no command runs: ``cli`` parses its arguments from a table of its own.
+NOT_PARSING = ["argparse", "gettext"]
 # What ``--version`` and ``simulate`` never run. Without the site hooks
-# (``-S``), which on some hosts preload them, ``importlib.resources`` and
-# ``pathlib`` too.
-NOT_RUN = ["dataclasses", "inspect", "nestfire.counter", "nestfire.energy", "numpy"]
-NOT_RUN_WITHOUT_SITE = NOT_RUN + ["importlib.resources", "pathlib"]
+# (``-S``), which on some hosts preload them, ``importlib.resources``,
+# ``pathlib``, and argparse's ``locale`` and ``textwrap`` too.
+NOT_RUN = NOT_PARSING + ["dataclasses", "inspect", "nestfire.counter", "nestfire.energy", "numpy"]
+NOT_RUN_WITHOUT_SITE = NOT_RUN + ["importlib.resources", "locale", "pathlib", "textwrap"]
 
 
 def child(code: str, *args: str, flags: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
@@ -69,8 +73,8 @@ def child(code: str, *args: str, flags: tuple[str, ...] = ()) -> subprocess.Comp
     ids=lambda value: value if isinstance(value, bool) else value[0],
 )
 def test_command_loads_numpy_only_when_it_computes_with_it(args, numpy):
-    # The others load no dataclasses and no inspect either, which numpy may load.
-    watched = ["numpy"] if numpy else ["numpy", "dataclasses", "inspect"]
+    # None loads argparse; the others load no dataclasses and no inspect either, which numpy may.
+    watched = ["numpy", *NOT_PARSING] + ([] if numpy else ["dataclasses", "inspect"])
     result = child(RUN_MODULE, ",".join(watched), *args)
     assert result.stderr.splitlines()[-1] == f"loaded={['numpy'] if numpy else []} exit=0"
     assert result.stdout
