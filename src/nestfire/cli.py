@@ -206,7 +206,8 @@ def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise ValidationError(f"{flag} expects comma-separated integers, got {text!r}") from exc
+        got = _shown(text)
+        raise ValidationError(f"{flag} expects comma-separated integers, got {got}") from exc
 
 
 def _printable(value: int, flag: str) -> int:

@@ -45,8 +45,8 @@ from operator import add, sub
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .errors import OutOfRange, SpecMismatch, ValidationError, WrongShape
-# ``members`` is not called here, but stays bound: bench/tracing.py swaps it and
-# ``ancestors`` by name, and tests/test_traced_names.py pins both.
+# bench/tracing.py swaps ``members`` (not called here) and ``ancestors`` (see
+# ``_compile``) by name, so both stay bound; tests/test_traced_names.py pins them.
 from .topology import EnsembleSpec, Frozen, ancestors, brief, check_rows, members, validate
 
 if TYPE_CHECKING:
@@ -342,12 +342,12 @@ def _compile(
     due_steps = [activation[k] for k in due]
     excitation = [unit * p.size for p in spec.patterns]
     inhibition = [weight * unit * p.size for p in spec.patterns]
-    # Inhibition targets are looked up when a pattern first fires: a deep
-    # chain has about depth**2 / 2 of them, and a short run needs few. Each
-    # comes with the end of the span of patterns its firing touches. The
-    # spec is a valid forest, so a pattern's targets are its parent and the
-    # parent's targets, if those are known.
-    targets: list[tuple[list[int], int] | None] = [None] * num
+    # A firing pattern inhibits every pattern up its parent links, and the walk
+    # stores no ancestor list, so memory stays O(P). end[q], one past the
+    # highest pattern q's firing touches, is set when q first fires: from its
+    # parent's end, else by ``ancestors``, which a pass over ``children`` could
+    # replace but which the benchmark's traced replay times as its topology layer.
+    end: list[int | None] = [None] * num
     free_run = mode == MODE_FREE_RUN
 
     def advance(t: int, last: _Step, drive: bool) -> _Step:
@@ -379,17 +379,16 @@ def _compile(
         if new:
             ever_active = ever_active.copy()
         for q in new:
-            if targets[q] is None:
+            if end[q] is None:
                 up = parent[q]
-                known = up is not None and targets[up] is not None
-                above = [up, *targets[up][0]] if known else ancestors(spec, q)
-                targets[q] = above, max(q, max(above, default=q)) + 1
-            above, end = targets[q]
-            w = inhibition[q]
-            for a in above:
+                known = up is not None and end[up] is not None
+                end[q] = max(q + 1, end[up]) if known else max([q, *ancestors(spec, q)]) + 1
+            a, w = parent[q], inhibition[q]
+            while a is not None:
                 inh[a] += w
+                a = parent[a]
             gain[q], ever_active[q] = excitation[q], True
-            reach = max(reach, end)
+            reach = max(reach, end[q])
         # From ``reach`` on, no pattern has fired or received inhibition yet,
         # and the update (s + 0.0) - 0.0 leaves their strength s = 0.0 as it is.
         head = map(sub, map(add, strength, gain), inh[:reach])

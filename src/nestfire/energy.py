@@ -21,7 +21,7 @@ from operator import mul
 from typing import TYPE_CHECKING
 
 from .errors import AttenuatedOut, DegenerateLayout, OutOfRange, ValidationError
-from .topology import Frozen
+from .topology import Frozen, brief
 
 __all__ = [
     "HopSpec",
@@ -106,7 +106,7 @@ class WeightChain(Frozen):
         if not self.weights:
             raise ValidationError("a weight chain needs at least one hop")
         if any(w < 1 for w in self.weights):
-            raise ValidationError(f"all weights must be >= 1, got {self.weights}")
+            raise ValidationError(f"all weights must be >= 1, got {brief(min(self.weights))}")
 
     @property
     def num_positions(self) -> int:

@@ -1,13 +1,13 @@
 """Independent reference implementations used as test oracles.
 
 Deliberately written without numpy and without touching the library's
-update code: plain per-pattern loops over a linear chain, exploiting the
-symmetry that all members of one pattern share the same strength, a
-per-neuron trace formatter, a step-by-step walk up the parent links and
-the slice-product centering cost. ``reference_firing_run`` recomputes every
-step from zero in the library's pinned order of float operations, so its
-strengths must match the engine's bit for bit. Expected values frozen into
-the tests were computed with these functions.
+update code: plain per-pattern loops over a linear chain or a forest,
+exploiting the symmetry that all members of one pattern share the same
+strength, a per-neuron trace formatter, a step-by-step walk up the parent
+links and the slice-product centering cost. ``reference_firing_run``
+recomputes every step from zero in the library's pinned order of float
+operations, so its strengths must match the engine's bit for bit. Expected
+values frozen into the tests were computed with these functions.
 """
 
 from __future__ import annotations
@@ -47,47 +47,51 @@ def reference_run(
 
 def reference_firing_run(
     sizes: list[int],
+    parents: list[int | None],
     unit: float,
     weight: float,
     activation: list[int],
     steps: int,
     mode: str,
 ) -> list[list[float]]:
-    """Per-pattern strengths after each step of a run on a linear chain whose
-    pattern k has ``sizes[k]`` neurons, in either mode, with every step
-    computed from zero.
+    """Per-pattern strengths after each step of a run on a forest whose
+    pattern k has ``sizes[k]`` neurons and encloses ``parents[k]``'s, in
+    either mode, with every step computed from zero.
 
     Pattern k may fire at step t iff t >= activation[k]. In ``free_run`` it
-    must also hold a positive strength or never have fired, and pattern k-1
-    must have fired at step t-1 (the root has the drive instead, always on).
+    must also hold a positive strength or never have fired, and its parent
+    must have fired at step t-1 (a root has the drive instead, always on).
+    A firing pattern inhibits every pattern met walking up its parent links.
     Each target's inhibition is summed over the firing patterns in ascending
     order, starting from 0.0; the update is ``(s + exc) - inh``, clamped at
     zero, with ``exc`` 0.0 for a pattern that does not fire.
     """
-    depth = len(sizes)
+    num = len(sizes)
     excitation = [unit * size for size in sizes]
     inhibition = [weight * unit * size for size in sizes]
-    strength = [0.0] * depth
-    fired = [False] * depth
-    ever = [False] * depth
+    strength = [0.0] * num
+    fired = [False] * num
+    ever = [False] * num
     rows = []
     for t in range(1, steps + 1):
         firing = []
-        for k in range(depth):
+        for k in range(num):
             due = t >= activation[k]
             if mode == "free_run":
                 alive = strength[k] > 0 or not ever[k]
-                gate = True if k == 0 else fired[k - 1]
+                gate = True if parents[k] is None else fired[parents[k]]
                 due = due and alive and gate
             if due:
                 firing.append(k)
-        inh = [0.0] * depth
+        inh = [0.0] * num
         for q in firing:
-            for a in range(q):
-                inh[a] += inhibition[q]
-        exc = [excitation[k] if k in firing else 0.0 for k in range(depth)]
+            enclosing = parents[q]
+            while enclosing is not None:
+                inh[enclosing] += inhibition[q]
+                enclosing = parents[enclosing]
+        exc = [excitation[k] if k in firing else 0.0 for k in range(num)]
         strength = [max((s + e) - i, 0.0) for s, e, i in zip(strength, exc, inh)]
-        fired = [k in firing for k in range(depth)]
+        fired = [k in firing for k in range(num)]
         ever = [e or f for e, f in zip(ever, fired)]
         rows.append(list(strength))
     return rows

@@ -301,6 +301,18 @@ class TestCenter:
         assert err.startswith("nestfire: error: --weights ") and "digits" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "weights",
+        ["0," + "9" * 60, "-" + "9" * 60, "9" * 60 + ",x"],
+        ids=["zero-beside-60-digits", "negative-60-digits", "60-digits-then-junk"],
+    )
+    def test_bad_weight_is_one_short_error_line(self, capsys, weights):
+        assert dispatch(["center", "--weights", weights]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("nestfire: error: ") and err.count("\n") == 1
+        assert len(err) < 120 and "9" * 21 not in err, err
+
 
 class TestLayout:
     def test_header_and_counts(self, capsys):

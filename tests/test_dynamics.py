@@ -190,6 +190,22 @@ class TestRun:
         assert max(peaks) < 64_000, peaks
         assert peaks[1] < peaks[0] + 8_000, peaks
 
+    def test_memory_grows_linearly_with_a_chain_firing_at_once(self):
+        # A chain whose patterns all fire at step 1: each inhibits all those
+        # above it, and a kernel that stored those lists would hold depth**2/2
+        # entries: about 4.5 MB at depth 1000, 13 times the peak at 250.
+        peaks = []
+        for depth in (250, 1000):
+            spec = build_linear(depth, 1, 1.0, 0.5)
+            tracemalloc.start()
+            try:
+                run(spec, Schedule((1,) * depth), 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1_000_000, peaks  # under 1 kB a pattern
+        assert peaks[1] < 8 * peaks[0], peaks
+
     def test_pattern_of_layout(self):
         trace = run(STANDARD, STAGGERED, 2)
         assert trace.pattern_of.tolist() == [k for k in range(5) for _ in range(5)]
@@ -344,30 +360,46 @@ class TestFreeRun:
         assert firing_sets[3] == (0, 1)   # t=4: gate open, child joins
 
 
-def chain(sizes, unit, weight):
-    """A linear chain whose pattern k has ``sizes[k]`` neurons."""
-    patterns = (PatternSpec(k, None if k == 0 else k - 1, size) for k, size in enumerate(sizes))
+def forest(sizes, parents, unit, weight):
+    """An ensemble whose pattern k has ``sizes[k]`` neurons and parent ``parents[k]``."""
+    patterns = (PatternSpec(k, up, size) for k, (size, up) in enumerate(zip(sizes, parents)))
     return EnsembleSpec(tuple(patterns), unit, weight)
 
 
 @st.composite
-def chain_runs(draw):
-    """Pattern sizes, unit, weight, schedule, steps and mode of a chain run.
-    Sizes differ, so patterns send different inhibition and the order of
-    its sums shows in the low bits. Explicit steps are drawn in any order,
-    so later steps often fire patterns below ones already firing; free runs
-    also shut down."""
+def forest_runs(draw):
+    """Pattern sizes, parent links, unit, weight, schedule, steps and mode
+    of a run. Half the ensembles are linear chains; the others are forests
+    nested in a random order, so a parent may have a higher index than its
+    child, and there may be several roots. In half the runs sizes differ, so
+    patterns send different inhibition and the order of its sums shows in
+    the low bits; in the rest they are equal. Explicit steps are drawn in any order, so
+    later steps often fire patterns below ones already firing, or all at
+    one step; free runs also shut down."""
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=7))
-    steps = draw(st.integers(1, 24))
+    num = len(sizes)
     if draw(st.booleans()):
+        sizes = [sizes[0]] * num
+    parents = [None, *range(num - 1)]
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(num)))
+        parents = [None] * num
+        for i, k in enumerate(order[1:], start=1):
+            parents[k] = draw(st.none() | st.sampled_from(order[:i]))
+    steps = draw(st.integers(1, 24))
+    schedule = draw(st.sampled_from(["explicit", "staggered", "together"]))
+    if schedule == "explicit":
         due = st.integers(1, steps + 1)
-        activation = draw(st.lists(due, min_size=len(sizes), max_size=len(sizes)))
+        activation = draw(st.lists(due, min_size=num, max_size=num))
+    elif schedule == "staggered":
+        activation = list(Schedule.staggered(num, draw(st.integers(1, 3))).activation_step)
     else:
-        activation = list(Schedule.staggered(len(sizes), draw(st.integers(1, 3))).activation_step)
+        activation = [draw(st.integers(1, steps))] * num
     return (
         sizes,
+        parents,
         draw(st.sampled_from([0.3, 1.0, 2.0])),
-        draw(st.sampled_from([0.3, 1 / 3, 0.7])),
+        draw(st.sampled_from([0.3, 1 / 3, 0.7, 1.5])),
         activation,
         steps,
         draw(st.sampled_from([MODE_SCHEDULED, MODE_FREE_RUN])),
@@ -376,8 +408,13 @@ def chain_runs(draw):
 
 # Runs whose firing list at some step is not the last step's list extended.
 NOT_PREFIX_RUNS = [
-    ([2, 1, 3], 0.3, 1 / 3, [3, 1, 2], 5, MODE_SCHEDULED),  # fills in: [1], [1, 2], [0, 1, 2]
-    ([1, 3, 2, 1, 4], 1.0, 0.7, [1, 2, 3, 4, 5], 14, MODE_FREE_RUN),  # shuts down from the root
+    # Fills in: [1], [1, 2], [0, 1, 2].
+    ([2, 1, 3], [None, 0, 1], 0.3, 1 / 3, [3, 1, 2], 5, MODE_SCHEDULED),
+    # Shuts down from the root.
+    ([1, 3, 2, 1, 4], [None, 0, 1, 2, 3], 1.0, 0.7, [1, 2, 3, 4, 5], 14, MODE_FREE_RUN),
+    # A forest with roots 1 and 3, where 0 sits in 3 and 5 in 0, all due at
+    # step 1: [1, 3], [0, 1, 2, 3, 4], [0, 2, 4, 5], [5], then shut down.
+    ([2, 1, 3, 2, 1, 4], [3, None, 1, None, 3, 0], 1.0, 1.5, [1] * 6, 8, MODE_FREE_RUN),
 ]
 
 
@@ -385,28 +422,29 @@ class TestKernelMatchesOracle:
     """The engine against ``oracles.reference_firing_run``, which sums every
     step from zero: reusing the last step's sums must change no bit."""
 
-    @given(chain_runs())
+    @given(forest_runs())
     @example(NOT_PREFIX_RUNS[0])
     @example(NOT_PREFIX_RUNS[1])
+    @example(NOT_PREFIX_RUNS[2])
     def test_run_matches_oracle_bit_for_bit(self, case):
-        sizes, unit, weight, activation, steps, mode = case
-        trace = run(chain(sizes, unit, weight), Schedule(activation), steps, mode)
+        sizes, parents, unit, weight, activation, steps, mode = case
+        trace = run(forest(sizes, parents, unit, weight), Schedule(activation), steps, mode)
         rows = reference_firing_run(*case)
         assert trace.strength.tobytes() == array("d", itertools.chain(*rows)).tobytes()
         pattern_of = [k for k, size in enumerate(sizes) for _ in range(size)]
         values = [[row[k] for k in pattern_of] for row in rows]
         assert write_trace(trace) == reference_csv(values, pattern_of)
 
-    @given(chain_runs())
+    @given(forest_runs())
     def test_stepping_matches_run(self, case):
-        sizes, unit, weight, activation, steps, mode = case
-        spec, schedule = chain(sizes, unit, weight), Schedule(activation)
+        sizes, parents, unit, weight, activation, steps, mode = case
+        spec, schedule = forest(sizes, parents, unit, weight), Schedule(activation)
         stepped = [state.strength for state in run_steps(spec, schedule, steps, mode)]
         assert np.stack(stepped).tobytes() == run(spec, schedule, steps, mode).strength.tobytes()
 
-    @pytest.mark.parametrize("case", NOT_PREFIX_RUNS, ids=["fill-in", "shutdown"])
+    @pytest.mark.parametrize("case", NOT_PREFIX_RUNS, ids=["fill-in", "shutdown", "forest-shutdown"])
     def test_examples_leave_the_prefix_path(self, case):
-        sizes, unit, weight, activation, steps, mode = case
-        spec, schedule = chain(sizes, unit, weight), Schedule(activation)
+        sizes, parents, unit, weight, activation, steps, mode = case
+        spec, schedule = forest(sizes, parents, unit, weight), Schedule(activation)
         lists = [np.flatnonzero(s.active).tolist() for s in run_steps(spec, schedule, steps, mode)]
         assert any(now[: len(last)] != last for last, now in zip(lists, lists[1:]))

@@ -278,7 +278,7 @@ def test_chain_values_coerce_fields():
         (lambda: HopSpec(0.0, 0.0, 1.0, math.inf), "impulse must be finite, got inf"),
         (lambda: ChainSpec(()), "a chain needs at least one hop"),
         (lambda: WeightChain([]), "a weight chain needs at least one hop"),
-        (lambda: WeightChain([2, 0]), r"all weights must be >= 1, got \(2, 0\)"),
+        (lambda: WeightChain([2, 0]), "all weights must be >= 1, got 0"),
         (lambda: Route(0.0), "route length must be > 0, got 0.0"),
         (lambda: Route(length=1.0, reinforcement=-1.0), "reinforcement must be >= 0, got -1.0"),
         (lambda: Route(math.inf), "length must be finite, got inf"),
