@@ -52,6 +52,10 @@ def dispatch(argv: list[str]) -> int:
         # devnull so that the flush at exit does not fail on the same pipe.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except MemoryError:
+        print("nestfire: error: out of memory: the input is too large for this process",
+              file=sys.stderr)
+        return 2
     except (NestfireError, OSError, ValueError) as exc:
         # ValueError too: a scenario file that is not UTF-8 raises UnicodeDecodeError.
         print(f"nestfire: error: {exc}", file=sys.stderr)

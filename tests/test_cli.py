@@ -197,6 +197,16 @@ class TestSimulate:
         assert child.wait() == 0
         assert err == b""
 
+    def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch, scenario_file):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run", exhausted)
+        assert dispatch(["simulate", "--scenario", str(scenario_file)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "nestfire: error: out of memory: the input is too large for this process\n"
+
     def test_non_utf8_scenario_is_invalid_input(self, capsys, tmp_path):
         path = tmp_path / "latin1.scenario"
         path.write_bytes(b'{"mode": "caf\xe9"}')

@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -38,6 +39,7 @@ from nestfire import (
     write_scenario,
     write_trace,
 )
+from nestfire.scenario import WRITE_ROWS
 from oracles import expand_to_neurons, reference_run, reference_write_trace
 from test_trace_digests import CASES as DIGEST_CASES
 
@@ -351,6 +353,33 @@ WRITER_CASES = {
     ),
 }
 
+# Tables as ``(pattern, count)`` blocks, with blocks that start or end where
+# a neuron label gains a digit, one pattern in two blocks apart, and a block
+# that one write cannot hold.
+BOUNDARY_BLOCKS = {
+    "starts-at-999": [(0, 998), (1, 3)],
+    "ends-at-999": [(0, 999), (1, 3)],
+    "ends-at-1000": [(0, 1000), (1, 3)],
+    "ends-at-1001": [(0, 1001), (1, 1000)],
+    "neuron-1000-alone-and-last": [(0, 999), (1, 1)],
+    "ends-at-9999": [(0, 9999), (1, 2)],
+    "ends-at-10000": [(0, 10000), (1, 2)],
+    "ends-at-99999": [(0, 99999), (1, 1), (2, 1)],
+    "ends-at-100000": [(0, 100000), (1, 1)],
+    "one-pattern-apart": [(0, 1500), (1, 2500), (0, 700)],
+    "block-larger-than-a-write": [(0, 3), (1, 2 * WRITE_ROWS + 1001), (2, 2)],
+}
+
+
+def blocks_table(blocks, steps=2):
+    """A table of ``(pattern, count)`` blocks, each pattern with its own
+    strength at each step."""
+    patterns, counts = zip(*blocks)
+    width = max(patterns) + 1
+    strength = np.arange(1.0, 1 + steps * width).reshape(steps, width) / 3
+    return TraceTable(strength=strength, pattern_of=np.repeat(patterns, counts))
+
+
 SAMPLE_FLOATS = [0.0, -0.0, math.nan, OTHER_NAN, math.inf, -math.inf, TINY, 0.1, 1 / 3, 7.5]
 SAMPLE_INTS = [0, 1, -1, 2**62]
 
@@ -384,6 +413,11 @@ class TestWriterMatchesReference:
         free = run(ensemble, schedule, 11, "free_run")
         for each in (trace, free):
             assert write_trace(each) == reference_write_trace(each)
+
+    @pytest.mark.parametrize("name", list(BOUNDARY_BLOCKS))
+    def test_blocks_at_label_boundaries(self, name):
+        trace = blocks_table(BOUNDARY_BLOCKS[name])
+        assert write_trace(trace) == reference_write_trace(trace)
 
     @given(trace_tables())
     def test_any_table(self, trace):
@@ -431,6 +465,13 @@ class Recorder:
         return len(text)
 
 
+class Discard:
+    """A text handle that keeps nothing."""
+
+    def write(self, text):
+        return len(text)
+
+
 def digest_trace(depth, size, unit, weight, schedule, steps, mode):
     """The trace behind one case of test_trace_digests.CASES."""
     if isinstance(schedule, int):
@@ -441,33 +482,55 @@ def digest_trace(depth, size, unit, weight, schedule, steps, mode):
 
 
 class TestStreamingWriter:
-    """A handle gets the same text as the string form, one step at a time."""
+    """A handle gets the same text as the string form: the header, then
+    writes of at most WRITE_ROWS rows of one step each."""
 
     @staticmethod
     def check_streams(trace):
         handle = Recorder()
         assert write_trace(trace, handle) is None
         assert "".join(handle.writes) == write_trace(trace)
-        for text in handle.writes:
+        assert handle.writes[0] == "step,neuron,pattern,strength\n"
+        for text in handle.writes[1:]:
             rows = text.splitlines()
-            if rows[:1] == ["step,neuron,pattern,strength"]:
-                rows = rows[1:]
-            assert len({row.split(",", 1)[0] for row in rows}) <= 1, "one write, many steps"
+            assert 0 < len(rows) <= WRITE_ROWS, "a write of too many rows"
+            assert len({row.split(",", 1)[0] for row in rows}) == 1, "one write, many steps"
         return handle.writes
 
     @pytest.mark.parametrize("case", list(DIGEST_CASES), ids=lambda case: "-".join(map(str, case)))
     def test_digest_scenarios(self, case):
         trace = digest_trace(*case)
         writes = self.check_streams(trace)
-        assert len(writes) == 1 + trace.num_steps
+        # A piece has at most 1000 rows, so each write but a step's last holds more
+        # than WRITE_ROWS - 1000.
+        per_step = -(-trace.num_neurons // (WRITE_ROWS - 999))
+        assert 1 + trace.num_steps <= len(writes) <= 1 + trace.num_steps * per_step
 
     @pytest.mark.parametrize("name", list(WRITER_CASES))
     def test_edge_case_tables(self, name):
         self.check_streams(WRITER_CASES[name])
 
+    @pytest.mark.parametrize("name", list(BOUNDARY_BLOCKS))
+    def test_blocks_at_label_boundaries(self, name):
+        self.check_streams(blocks_table(BOUNDARY_BLOCKS[name]))
+
     def test_header_only_trace_writes_the_header(self):
         empty = TraceTable(strength=np.zeros((0, 0)), pattern_of=np.zeros(0, dtype=int))
         assert self.check_streams(empty) == ["step,neuron,pattern,strength\n"]
+
+    def test_memory_holds_one_write_whatever_the_neurons(self):
+        # A label string per neuron and a step's text in one string take about 108 MB at 10**6.
+        peaks = []
+        for neurons in (10**5, 10**6):
+            trace = run(build_linear(1, neurons, 1.0, 0.5), Schedule((1,)), 1)
+            tracemalloc.start()
+            try:
+                write_trace(trace, Discard())
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1_000_000, peaks
+        assert peaks[1] < 3 * peaks[0], peaks
 
 
 class TestGoldenComparison:
