@@ -12,8 +12,8 @@ builds:
 * ``energy`` -- signal attenuation, capacitor-style multi-hop firing
   arithmetic, the multiplicative centering cost, and the inward-vs-outward
   layout economics with stigmergic reinforcement;
-* ``scenario`` -- declarative scenario files, CSV traces, and golden
-  comparison;
+* ``scenario`` -- declarative scenario files and CSV trace writing;
+* ``readback`` -- reading traces back, and golden comparison;
 * ``cli`` -- the ``nestfire`` command.
 
 Everything is pure-functional over immutable values; identical inputs give
@@ -22,14 +22,14 @@ byte-identical outputs.
 Modules load on first use: ``import nestfire`` imports none of them, and a
 public name such as ``nestfire.CounterSpec`` imports only the modules
 searched to find it: ``errors``, ``topology``, ``counter`` and ``energy``
-first, then ``dynamics`` and ``scenario``. Asking for ``__all__`` (or
-``from nestfire import *``) loads them all. None of them imports numpy as
-it loads: ``energy``, ``dynamics`` and ``scenario`` import it only inside
-the functions that build arrays (layouts, a trace's arrays, ``SimState``,
-trace reading and the public golden grids). A trace holds one strength per
+first, then ``dynamics``, ``scenario`` and ``readback``. Asking for
+``__all__`` (or ``from nestfire import *``) loads them all. None of them
+imports numpy as it loads: ``energy``, ``dynamics`` and ``readback`` import
+it only inside the functions that build arrays (layouts, a trace's arrays,
+``SimState`` and the public golden grids). A trace holds one strength per
 pattern per step and its neurons as blocks, so ``run``,
-``pattern_strength``, ``first_zero_step``, ``write_trace`` and
-``compare_golden`` never load it.
+``pattern_strength``, ``first_zero_step``, ``write_trace``, ``read_trace``
+and ``compare_golden`` never load it.
 """
 
 from importlib import import_module
@@ -37,7 +37,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 # Searched in this order for a public name; one found early loads none after it.
-_MODULES = ("errors", "topology", "counter", "energy", "dynamics", "scenario")
+_MODULES = ("errors", "topology", "counter", "energy", "dynamics", "scenario", "readback")
 
 
 def __getattr__(name: str):

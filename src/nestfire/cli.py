@@ -1,6 +1,6 @@
 """Command-line front door. Deterministic, scriptable output: results on
 stdout, diagnostics on stderr. Exit codes: 0 success/pass, 1 verification
-or property failure, 2 invalid input."""
+or property failure, 2 invalid input or an input too large for memory."""
 
 from __future__ import annotations
 
@@ -29,10 +29,10 @@ def _deferred(module: str, name: str):
 run = _deferred("dynamics", "run")
 parse_scenario = _deferred("scenario", "parse_scenario")
 write_trace = _deferred("scenario", "write_trace")
-compare_golden = _deferred("scenario", "compare_golden")
+compare_golden = _deferred("readback", "compare_golden")
 standard_scenario = _deferred("scenario", "standard_scenario")
 # The golden grid as lists: the comparison needs no numpy.
-table1_fixture = _deferred("scenario", "_table1_rows")
+table1_fixture = _deferred("readback", "_table1_rows")
 run_counter = _deferred("counter", "run_counter")
 best_center = _deferred("energy", "best_center")
 event_oracle = _deferred("energy", "event_oracle")
@@ -111,7 +111,8 @@ def _usage() -> str:
             command += f" {usage}" if default is ... else f" [{usage}]"
         lines += [f"  {command}", f"      {help_line}"]
     lines += ["", "A flag is --FLAG VALUE or --FLAG=VALUE, and may be cut to a unique prefix."]
-    return "\n".join(lines + ["Exit codes: 0 success or pass, 1 failed check, 2 invalid input."])
+    exits = "Exit codes: 0 success or pass, 1 failed check, 2 invalid input or out of memory."
+    return "\n".join(lines + [exits])
 
 
 def _cmd_simulate(args) -> int:
@@ -231,7 +232,7 @@ def _printable(value: int, flag: str) -> int:
 _COMMANDS = {
     "simulate": (_cmd_simulate, "run a scenario file and write its trace (default: to stdout)",
                  {"scenario": (str, ...), "out": (str, None)}),
-    # No --tolerance default: it is scenario.GOLDEN_TOLERANCE, and parsing imports no scenario.
+    # No --tolerance default: it is readback.GOLDEN_TOLERANCE, and parsing imports no readback.
     "verify-table1": (_cmd_verify_table1, "check the built-in run against the shipped fixture",
                       {"tolerance": (float, None)}),
     "counter": (_cmd_counter, "print a nested counter's count events", {"depth": (int, ...)}),

@@ -14,7 +14,7 @@ step kernel works on plain lists of one float per pattern. numpy is imported
 only where arrays are built: a table's ``strength``, ``pattern_of`` and
 ``values`` on first read, ``golden_table``, and the ``SimState`` arrays of
 ``initial_state`` and ``step``. So ``run`` followed by ``pattern_strength``,
-``first_zero_step``, ``scenario.write_trace`` or ``scenario.compare_golden``
+``first_zero_step``, ``scenario.write_trace`` or ``readback.compare_golden``
 never loads it.
 
 Two firing modes exist:

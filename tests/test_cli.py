@@ -474,6 +474,8 @@ class TestUsageErrors:
         listed = [line.split()[0] for line in out.splitlines() if line[:2] == "  " != line[2:4]]
         assert listed == COMMANDS
         assert "  counter --depth INT\n" in out and "  layout [--trials INT] [--seed INT]\n" in out
+        exits = "Exit codes: 0 success or pass, 1 failed check, 2 invalid input or out of memory.\n"
+        assert out.endswith(exits)
 
     @pytest.mark.parametrize("argv", [["--version"], ["counter", "--version"], ["layout", "--vers"]])
     def test_version_anywhere(self, capsys, argv):

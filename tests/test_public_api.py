@@ -78,7 +78,7 @@ PUBLIC_NAMES = [
     "write_trace",
 ]
 
-MODULES = ["counter", "dynamics", "energy", "errors", "scenario", "topology"]
+MODULES = ["counter", "dynamics", "energy", "errors", "readback", "scenario", "topology"]
 
 
 def test_public_names_are_pinned():
@@ -98,3 +98,13 @@ def test_module_all_names_exist(module_name):
     module = importlib.import_module(f"nestfire.{module_name}")
     for name in module.__all__:
         assert hasattr(module, name), f"{module_name}.__all__ lists missing {name!r}"
+
+
+def test_readback_names_resolve_through_scenario():
+    from nestfire import readback, scenario
+
+    for name in readback.__all__:
+        assert getattr(scenario, name) is getattr(readback, name) is getattr(nestfire, name)
+    for name in ("no_such_name", "_fixture_rows"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(scenario, name)

@@ -8,7 +8,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from nestfire import (
@@ -531,6 +531,75 @@ class TestStreamingWriter:
                 tracemalloc.stop()
         assert peaks[1] < 1_000_000, peaks
         assert peaks[1] < 3 * peaks[0], peaks
+
+
+class TestStreamingReader:
+    """read_trace holds the table and a few thousand rows' text, and stops at
+    the first row out of place, naming its line."""
+
+    def test_memory_holds_the_table_not_the_rows(self):
+        # Holding every row would take tens of MB here: about 35 MB at 300 000 rows.
+        peaks = []
+        for neurons in (25_000, 250_000):
+            # Two wide patterns for two steps: 10**5 and 10**6 rows.
+            text = write_trace(run(build_linear(2, neurons, 1.0, 0.5), Schedule((1, 2)), 2))
+            tracemalloc.start()
+            try:
+                recovered = read_trace(text)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert write_trace(recovered) == text
+        assert peaks[1] < 1_000_000, peaks
+        assert peaks[1] < 3 * peaks[0], peaks
+
+    @given(data=st.data())
+    def test_one_corrupted_row_is_refused_at_its_line(self, data):
+        depth, size = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        steps = data.draw(st.integers(1, 4))
+        weight = data.draw(st.sampled_from([0.3, 0.5, 1.5]))
+        trace = run(build_linear(depth, size, 1.0, weight), Schedule.staggered(depth), steps)
+        rows, n = write_trace(trace).splitlines()[1:], depth * size
+        r = data.draw(st.integers(0, len(rows) - 1))
+        kind = data.draw(st.sampled_from(["drop", "duplicate", "swap", "label", "flip"]))
+        line = r + 2  # the header is line 1
+        if kind == "drop":
+            del rows[r]
+            if r == len(rows):  # the last row: a trace one row short, unless a whole step
+                assume(steps > 1 and n > 1)
+                line = None
+            elif steps > 1 and r == n - 1 and n > 1:
+                line = 2 * n  # step 1 reads as n - 1 neurons, and step 2 runs over
+        elif kind == "duplicate":
+            rows.insert(r, rows[r])
+            line = r + 3
+        elif kind == "swap":
+            k = data.draw(st.integers(0, len(rows) - 1).filter(lambda k: k != r))
+            r, k = min(r, k), max(r, k)
+            rows[r], rows[k] = rows[k], rows[r]
+            # Step 2's first row, met inside step 1, reads as step 2 begun early.
+            line = r + 3 if k == n and 0 < r < n else r + 2
+        elif kind == "label":
+            fields = rows[r].split(",")
+            k = data.draw(st.integers(0, 2 if r >= n else 1))  # step 1 lays the patterns out
+            fields[k] = str(int(fields[k]) + data.draw(st.sampled_from([-2, -1, 1, 2])))
+            rows[r] = ",".join(fields)
+        else:  # flip the sign bit of one strength
+            t, neuron, pattern, value = rows[r].split(",")
+            rows[r] = f"{t},{neuron},{pattern},{-float(value)!r}"
+        text = "\n".join(["step,neuron,pattern,strength", *rows]) + "\n"
+        if kind == "flip" and size == 1:  # no other member to disagree with
+            got = pattern_strength(read_trace(text), int(pattern) - 1, int(t))
+            assert math.copysign(1, got) == -math.copysign(1, float(value))
+            return
+        if kind == "flip":
+            error, message = AsymmetricPattern, f"^pattern {pattern} members disagree at step {t}$"
+        elif line is None:
+            error, message = ParseError, f"^expected {steps * n} rows, got {steps * n - 1}$"
+        else:
+            error, message = ParseError, f"^line {line}: expected step, neuron, pattern "
+        with pytest.raises(error, match=message):
+            read_trace(text)
 
 
 class TestGoldenComparison:

@@ -2,8 +2,10 @@
 
 ``import nestfire`` binds names on first access, and ``nestfire.cli`` imports
 each other module only when a command calls into it. ``dynamics`` and
-``scenario`` import numpy only where they build arrays, so neither
-``simulate`` nor ``verify-table1`` loads it; only ``layout`` does. No value
+``readback`` import numpy only where they build arrays, so neither
+``simulate`` nor ``verify-table1`` nor ``read_trace`` loads it; only
+``layout`` does. ``simulate`` writes a trace and never loads ``readback``,
+the module that reads one back. No value
 class is a dataclass, so the commands that load no numpy load no
 ``dataclasses`` or ``inspect`` either. ``cli`` parses its arguments from a
 table, so no command loads ``argparse`` or ``gettext``. Each check that a
@@ -42,10 +44,13 @@ print(f"loaded={[m for m in watched if m in sys.modules]} exit={code}", file=sys
 
 # What no command runs: ``cli`` parses its arguments from a table of its own.
 NOT_PARSING = ["argparse", "gettext"]
-# What ``--version`` and ``simulate`` never run. Without the site hooks
-# (``-S``), which on some hosts preload them, ``importlib.resources``,
-# ``pathlib``, and argparse's ``locale`` and ``textwrap`` too.
-NOT_RUN = NOT_PARSING + ["dataclasses", "inspect", "nestfire.counter", "nestfire.energy", "numpy"]
+# What ``--version`` and ``simulate`` never run: ``simulate`` writes a trace
+# and reads none back. Without the site hooks (``-S``), which on some hosts
+# preload them, ``importlib.resources``, ``pathlib``, and argparse's
+# ``locale`` and ``textwrap`` too.
+NOT_RUN = NOT_PARSING + [
+    "dataclasses", "inspect", "nestfire.counter", "nestfire.energy", "nestfire.readback", "numpy"
+]
 NOT_RUN_WITHOUT_SITE = NOT_RUN + ["importlib.resources", "locale", "pathlib", "textwrap"]
 
 
@@ -132,6 +137,20 @@ def test_run_and_streamed_write_load_no_numpy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "37 False\n0.0 5.0 5 None False\n"
+
+
+def test_verify_table1_and_read_trace_load_no_numpy():
+    result = child(
+        "import contextlib, io, sys\n"
+        "from nestfire import cli, read_trace, run, standard_scenario, write_trace\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    code = cli.dispatch(['verify-table1'])\n"
+        "text = write_trace(run(*standard_scenario()))\n"
+        "print(out.getvalue().strip(), code, write_trace(read_trace(text)) == text)\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('nestfire.readback', 'numpy'))))\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["pass max_abs_error=0 0 True", "['nestfire.readback']"]
 
 
 def test_import_and_numpy_free_names_load_no_numpy():
