@@ -15,10 +15,9 @@ from .errors import NestfireError, ValidationError
 
 def _deferred(module: str, name: str):
     """A stand-in for ``nestfire.<module>.<name>`` that imports the module on
-    each call, not with this one, so that each command loads only the
-    modules it runs. Bound as a module global, so that the name can be
-    swapped like an imported one (the traced benchmark replay does); imports
-    inside the handlers would do once nothing swaps these names."""
+    each call, so that each command loads only the modules it runs. Bound as
+    a module global, for the traced benchmark replay to swap by name; a name
+    that nothing swaps is imported inside its handler instead."""
 
     def call(*args, **kwargs):
         return getattr(import_module(f".{module}", __package__), name)(*args, **kwargs)
@@ -30,9 +29,6 @@ run = _deferred("dynamics", "run")
 parse_scenario = _deferred("scenario", "parse_scenario")
 write_trace = _deferred("scenario", "write_trace")
 compare_golden = _deferred("readback", "compare_golden")
-standard_scenario = _deferred("scenario", "standard_scenario")
-# The golden grid as lists: the comparison needs no numpy.
-table1_fixture = _deferred("readback", "_table1_rows")
 run_counter = _deferred("counter", "run_counter")
 best_center = _deferred("energy", "best_center")
 event_oracle = _deferred("energy", "event_oracle")
@@ -129,9 +125,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify_table1(args) -> int:
+    from .readback import _table1_rows  # the golden grid as lists: the comparison needs no numpy
+    from .scenario import standard_scenario
+
     trace = run(*standard_scenario())
     tolerance = () if args.tolerance is None else (args.tolerance,)
-    report = compare_golden(trace, table1_fixture(), *tolerance)
+    report = compare_golden(trace, _table1_rows(), *tolerance)
     if report.passed:
         print(f"pass max_abs_error={report.max_abs_error:g}")
         return 0

@@ -76,6 +76,7 @@ def start(spec: CounterSpec) -> CounterState:
 
 def tick(state: CounterState, spec: CounterSpec) -> CounterState:
     """Advance the counter by one tick; quiescence is absorbing."""
+    _check_depth(spec)
     if state.phase is Phase.QUIESCENT:
         return state
     return _state_at(spec, state.tick + 1)

@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 from .errors import OutOfRange, SpecMismatch, ValidationError, WrongShape
 # bench/tracing.py swaps ``members`` (not called here) and ``ancestors`` (see
 # ``_compile``) by name, so both stay bound; tests/test_traced_names.py pins them.
-from .topology import EnsembleSpec, Frozen, ancestors, brief, check_rows, members, validate
+from .topology import EnsembleSpec, Frozen, _whole, ancestors, brief, check_rows, members, validate
 
 if TYPE_CHECKING:
     import numpy as np
@@ -78,18 +78,14 @@ class Schedule(Frozen):
     activation_step: tuple[int, ...]
 
     def _check(self) -> None:
-        object.__setattr__(self, "activation_step", tuple(int(t) for t in self.activation_step))
-        for k, t in enumerate(self.activation_step):
-            if t < 1:
-                raise ValidationError(
-                    f"activation step for pattern {k} must be >= 1, got {brief(t)}"
-                )
+        steps = self.activation_step
+        steps = tuple(_whole(t, f"activation step for pattern {k}", 1) for k, t in enumerate(steps))
+        object.__setattr__(self, "activation_step", steps)
 
     @classmethod
     def staggered(cls, num_patterns: int, interval: int = 1) -> "Schedule":
         """One new pattern per ``interval`` steps, outermost first: t_k = 1 + k*interval."""
-        if interval < 1:
-            raise ValidationError(f"interval must be >= 1, got {brief(interval)}")
+        interval = _whole(interval, "interval", 1)
         return cls(tuple(1 + k * interval for k in range(num_patterns)))
 
 
@@ -172,33 +168,12 @@ class TraceTable(Frozen):
         return values
 
 
-class _Step(NamedTuple):
-    """The step kernel's state after one step, in plain lists."""
-
-    strength: list[float]
-    ever_active: list[bool]
-    firing: list[int]  # the patterns that fired, ascending
-    # What they gave and sent each pattern, (gain, inhibition), if known.
-    sums: tuple[list[float], list[float]] | None
-    reach: int  # no pattern from here on has fired or received inhibition yet
-
-
-def _zero_step(num_patterns: int) -> _Step:
-    """The kernel's all-zero state before any step has run."""
-    zeros = [0.0] * num_patterns
-    return _Step(zeros, [False] * num_patterns, [], (zeros, zeros), 0)
-
-
 def initial_state(spec: EnsembleSpec) -> SimState:
     """The all-zero state before any step has run."""
     import numpy as np
 
-    return SimState(
-        step=0,
-        strength=np.zeros(spec.num_patterns),
-        active=np.zeros(spec.num_patterns, dtype=bool),
-        ever_active=np.zeros(spec.num_patterns, dtype=bool),
-    )
+    flags = np.zeros(spec.num_patterns, dtype=bool)
+    return SimState(0, np.zeros(spec.num_patterns), flags, flags.copy())
 
 
 def step(
@@ -208,30 +183,20 @@ def step(
     mode: str = MODE_SCHEDULED,
 ) -> SimState:
     """Advance the simulation by one step and return the new state."""
-    advance = _compile(spec, schedule, mode, state.step + 1)
+    import numpy as np
+
+    # The kernel gets lists, not the state's arrays, which thus stay as they are.
+    firing = np.flatnonzero(state.active).tolist()
+    start = state.strength.tolist(), state.ever_active.tolist(), firing
+    advance = _compile(spec, schedule, mode, state.step + 1, start)
     shape = (spec.num_patterns,)
     if {state.strength.shape, state.active.shape, state.ever_active.shape} != {shape}:
         raise SpecMismatch(f"state arrays need one entry for each of {spec.num_patterns} patterns")
-    import numpy as np
-
-    # A state carries no inhibition sums, so this step's are summed from zero.
-    last = _Step(
-        strength=state.strength.tolist(),
-        ever_active=state.ever_active.tolist(),
-        firing=np.flatnonzero(state.active).tolist(),
-        sums=None,
-        reach=spec.num_patterns,  # its strengths may be anything: update them all
-    )
-    new = advance(state.step + 1, last, state.drive)
+    strength, ever_active, firing = advance(state.step + 1, state.drive)
     active = np.zeros(spec.num_patterns, dtype=bool)
-    active[new.firing] = True
-    return SimState(
-        step=state.step + 1,
-        strength=np.array(new.strength, dtype=float),
-        active=active,
-        ever_active=np.array(new.ever_active, dtype=bool),
-        drive=state.drive,
-    )
+    active[firing] = True
+    strength, ever_active = np.array(strength, dtype=float), np.array(ever_active, dtype=bool)
+    return SimState(state.step + 1, strength, active, ever_active, state.drive)
 
 
 def run(
@@ -246,11 +211,9 @@ def run(
         raise ValidationError(f"steps must be >= 1, got {brief(steps)}")
     advance = _compile(spec, schedule, mode, steps)
     check_rows("steps x neurons", steps, spec.num_neurons)
-    state = _zero_step(spec.num_patterns)
     rows = array("d")
     for t in range(1, steps + 1):
-        state = advance(t, state, True)
-        rows.fromlist(state.strength)
+        rows.fromlist(advance(t, True)[0])
     # Patterns occupy neighbouring blocks of neurons, in pattern order.
     blocks = [(k, p.size) for k, p in enumerate(spec.patterns)]
     return object.__new__(TraceTable)._hold(rows, (steps, spec.num_patterns), blocks)
@@ -308,10 +271,13 @@ def with_drive(state: SimState, drive: bool) -> SimState:
 
 
 def _compile(
-    spec: EnsembleSpec, schedule: Schedule, mode: str, steps: int
-) -> Callable[[int, _Step, bool], _Step]:
-    """Check a run of ``steps`` steps, compile it once and return the step
-    kernel: ``advance(t, last, drive)`` is the state after step ``t``."""
+    spec: EnsembleSpec, schedule: Schedule, mode: str, steps: int, start: tuple | None = None
+) -> Callable[[int, bool], tuple[list[float], list[bool], list[int]]]:
+    """Check a run of ``steps`` steps, compile it once and return its step kernel.
+    ``advance(t, drive)`` computes step ``t`` from the state the kernel keeps, all
+    zero at first or else ``start``'s ``(strength, ever_active, firing)`` lists, and
+    returns the new ``(strength, ever_active, firing)``. The next call changes that
+    ``ever_active`` list in place, so a caller copies whatever it keeps of it."""
     if mode not in (MODE_SCHEDULED, MODE_FREE_RUN):
         raise ValidationError(f"unknown mode {mode!r}")
     violations = validate(spec)
@@ -349,13 +315,19 @@ def _compile(
     # replace but which the benchmark's traced replay times as its topology layer.
     end: list[int | None] = [None] * num
     free_run = mode == MODE_FREE_RUN
+    # Kept between steps: strengths, ever-active flags, the last firing list,
+    # the firing list the (gain, inh) sums are for, those sums, and ``reach``,
+    # from which on no pattern has fired or been inhibited yet. ``step`` starts
+    # with nothing summed and, as its strengths may be anything, all in reach.
+    strength, ever_active, firing = start or ([0.0] * num, [False] * num, [])
+    kept = [strength, ever_active, firing, [], [0.0] * num, [0.0] * num, num if start else 0]
 
-    def advance(t: int, last: _Step, drive: bool) -> _Step:
-        strength, ever_active = last.strength, last.ever_active
+    def advance(t: int, drive: bool) -> tuple[list[float], list[bool], list[int]]:
+        strength, ever_active, last, summed, gain, inh, reach = kept
         if free_run:
             # Only roots (with the drive on) and children of last step's
             # firing patterns pass the gate.
-            gated = (roots if drive else []) + [c for q in last.firing for c in children[q]]
+            gated = (roots if drive else []) + [c for q in last for c in children[q]]
             firing = [
                 k
                 for k in sorted(gated)
@@ -366,18 +338,12 @@ def _compile(
         # Inhibition is summed one firing pattern at a time, in ascending
         # order: for non-dyadic weights another order changes the low bits,
         # and traces are pinned byte for byte. The sums, like the gains,
-        # depend on the firing list alone, so when the last step's list is a
-        # prefix of this one, they are extended by the newcomers rather than
-        # summed anew.
-        done, reach = len(last.firing), last.reach
-        if last.sums is not None and firing[:done] == last.firing:
-            (gain, inh), new = last.sums, firing[done:]
-            if new:
-                gain, inh = gain.copy(), inh.copy()
-        else:  # also for a state from ``step``, which carries no sums
+        # depend on the firing list alone, so when the list they were summed
+        # for is a prefix of this one, they are extended by the newcomers
+        # rather than summed anew.
+        new = firing[len(summed) :]
+        if firing[: len(summed)] != summed:
             gain, inh, new = [0.0] * num, [0.0] * num, firing
-        if new:
-            ever_active = ever_active.copy()
         for q in new:
             if end[q] is None:
                 up = parent[q]
@@ -392,13 +358,8 @@ def _compile(
         # From ``reach`` on, no pattern has fired or received inhibition yet,
         # and the update (s + 0.0) - 0.0 leaves their strength s = 0.0 as it is.
         head = map(sub, map(add, strength, gain), inh[:reach])
-        return _Step(
-            strength=[v if v >= 0.0 else 0.0 for v in head] + strength[reach:],
-            ever_active=ever_active,
-            firing=firing,
-            sums=(gain, inh),
-            reach=reach,
-        )
+        strength = [v if v >= 0.0 else 0.0 for v in head] + strength[reach:]
+        kept[:] = strength, ever_active, firing, firing, gain, inh, reach
+        return strength, ever_active, firing
 
     return advance
-

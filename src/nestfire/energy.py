@@ -21,7 +21,7 @@ from operator import mul
 from typing import TYPE_CHECKING
 
 from .errors import AttenuatedOut, DegenerateLayout, OutOfRange, ValidationError
-from .topology import Frozen, brief
+from .topology import Frozen, _whole, brief
 
 __all__ = [
     "HopSpec",
@@ -102,7 +102,8 @@ class WeightChain(Frozen):
     weights: tuple[int, ...]
 
     def _check(self) -> None:
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
+        weights = tuple(_whole(w, f"weight {k}") for k, w in enumerate(self.weights))
+        object.__setattr__(self, "weights", weights)
         if not self.weights:
             raise ValidationError("a weight chain needs at least one hop")
         if any(w < 1 for w in self.weights):

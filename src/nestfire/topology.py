@@ -184,14 +184,21 @@ def validate(spec: EnsembleSpec) -> list[str]:
     n_pat = spec.num_patterns
     if n_pat == 0:
         violations.append("ensemble has no patterns")
+    # Ids, sizes and parents must be integers, of a type that ``operator.index`` takes.
+    fields = [(p.id, p.size, 0 if p.parent is None else p.parent) for p in spec.patterns]
+    integers = [all(hasattr(type(v), "__index__") for v in f) for f in fields]
     # Pointer doubling: a root links to the sentinel n_pat, a missing parent to itself.
     jump = [
-        n_pat if p.parent is None else p.parent if 0 <= p.parent < n_pat else pos
-        for pos, p in enumerate(spec.patterns)
+        n_pat if p.parent is None else p.parent if ok and 0 <= p.parent < n_pat else pos
+        for pos, (p, ok) in enumerate(zip(spec.patterns, integers))
     ] + [n_pat]
     for _ in range(n_pat.bit_length()):
         jump = [jump[j] for j in jump]
     for pos, pat in enumerate(spec.patterns):
+        if not integers[pos]:
+            got = _shown((pat.id, pat.parent, pat.size))
+            violations.append(f"pattern {pos} needs integer id, parent and size, got {got}")
+            continue
         if pat.id != pos:
             violations.append(f"pattern at position {pos} has id {pat.id}")
         if pat.size < 1:
@@ -201,11 +208,40 @@ def validate(spec: EnsembleSpec) -> list[str]:
         elif jump[pos] != n_pat:
             violations.append(f"no root above pattern {pos}: nesting cycle or missing parent")
     unit, weight = spec.excitatory_unit, spec.inhibitory_weight
-    if not (math.isfinite(unit) and unit > 0):
-        violations.append(f"excitatory_unit must be finite and > 0, got {unit}")
-    if not (math.isfinite(weight) and weight >= 0):
-        violations.append(f"inhibitory_weight must be finite and >= 0, got {weight}")
+    if not 0 < _real(unit) < math.inf:
+        violations.append(f"excitatory_unit must be finite and > 0, got {_shown(unit)}")
+    if not 0 <= _real(weight) < math.inf:
+        violations.append(f"inhibitory_weight must be finite and >= 0, got {_shown(weight)}")
     return violations
+
+
+def _real(value) -> float:
+    """``value`` as a float, or NaN if it is no real number within the float range."""
+    try:
+        return float(value + 0.0)  # a str, complex or Decimal fails here
+    except (OverflowError, TypeError):
+        return math.nan
+
+
+def _whole(value, what: str, least: int | None = None) -> int:
+    """``value`` as an int, at least ``least`` if that is given: an integer, or
+    a float with no fraction part such as ``2.0``. Anything else raises
+    ValidationError naming ``what``."""
+    if hasattr(type(value), "__index__"):  # what ``operator.index`` takes
+        n = value.__index__()
+    elif isinstance(value, float) and value.is_integer():
+        n = int(value)
+    else:
+        raise ValidationError(f"{what} must be a whole number, got {_shown(value)}")
+    if least is not None and n < least:
+        raise ValidationError(f"{what} must be >= {least}, got {brief(n)}")
+    return n
+
+
+def _shown(value) -> str:
+    """``value``'s repr for a message, cut to 40 characters and its length."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
 
 
 def check_rows(what: str, *factors: int) -> None:

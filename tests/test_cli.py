@@ -63,11 +63,11 @@ class TestVerifyTable1:
         assert err.count("\n") == 1
 
     def test_never_exits_zero_on_mismatch(self, capsys, monkeypatch):
-        import nestfire.cli as cli_module
+        from nestfire import readback
 
         poked = table1_fixture()
         poked[0, 0] += 1.0
-        monkeypatch.setattr(cli_module, "table1_fixture", lambda: poked)
+        monkeypatch.setattr(readback, "_table1_rows", lambda: poked)
         assert dispatch(["verify-table1"]) == 1
         out = capsys.readouterr().out
         assert out.startswith("fail max_abs_error=1 mismatches=1\n")

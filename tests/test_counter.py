@@ -49,6 +49,8 @@ class TestStart:
             start(CounterSpec(depth=0))
         with pytest.raises(InvalidDepth):
             run_counter(CounterSpec(depth=0))
+        with pytest.raises(InvalidDepth):
+            tick(start(CounterSpec(depth=3)), CounterSpec(depth=0))
 
 
 class TestTick:

@@ -57,6 +57,26 @@ INVALID_RUNS = {
     "unit-overflows": (build_linear(2, 2, 1e308, 0.5), Schedule.staggered(2), 3, MODE_SCHEDULED),
     "weight-overflows": (build_linear(2, 2, 1.0, 1e308), Schedule.staggered(2), 1, MODE_SCHEDULED),
     "size-beyond-float": (build_linear(1, 10**400, 1.0, 0.5), Schedule((1,)), 1, MODE_SCHEDULED),
+    "unit-beyond-float": (build_linear(2, 2, 10**400, 0.5), Schedule.staggered(2), 1, MODE_SCHEDULED),
+    "no-patterns": (EnsembleSpec((), 1.0, 0.5), Schedule(()), 1, MODE_SCHEDULED),
+    "id-out-of-place": (
+        EnsembleSpec((PatternSpec(0, None, 1), PatternSpec(2, 0, 1)), 1.0, 0.5),
+        Schedule.staggered(2),
+        2,
+        MODE_SCHEDULED,
+    ),
+    **{
+        f"{name}-not-integer": (EnsembleSpec(patterns, 1.0, 0.5), Schedule((1, 2)), 2, MODE_FREE_RUN)
+        for name, patterns in {
+            "size": (PatternSpec(0, None, 1.5), PatternSpec(1, 0, 1)),
+            "size-nan": (PatternSpec(0, None, 1), PatternSpec(1, 0, float("nan"))),
+            "parent": (PatternSpec(0, None, 1), PatternSpec(1, "0", 1)),
+            "parent-float": (PatternSpec(0, None, 1), PatternSpec(1, 0.0, 1)),
+            "id": (PatternSpec("0", None, 1), PatternSpec(1, 0, 1)),
+        }.items()
+    },
+    "unit-text": (build_linear(2, 2, "1", 0.5), Schedule.staggered(2), 1, MODE_SCHEDULED),
+    "weight-complex": (build_linear(2, 2, 1.0, 0.5j), Schedule.staggered(2), 1, MODE_SCHEDULED),
 }
 
 
@@ -68,6 +88,11 @@ INVALID_CALLS = {
     "nesting-cycle": lambda: ancestors(CYCLIC, 0),
     "activation-step": lambda: Schedule((1, 0)),
     "interval": lambda: Schedule.staggered(3, 0),
+    "activation-step-fraction": lambda: Schedule([1.5]),
+    "activation-step-nan": lambda: Schedule([1, float("nan")]),
+    "activation-step-inf": lambda: Schedule([float("inf")]),
+    "activation-step-text": lambda: Schedule(["x"]),
+    "interval-fraction": lambda: Schedule.staggered(3, 1.5),
     "mode": lambda: step(initial_state(STANDARD), STANDARD, STAGGERED, mode="warp"),
     "steps": lambda: run(STANDARD, STAGGERED, 0),
     "steps-beyond-float": lambda: run(STANDARD, STAGGERED, 10**400),

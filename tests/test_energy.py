@@ -364,6 +364,10 @@ INVALID_ENERGY_INPUTS = {
     "empty-chain": lambda: ChainSpec(()),
     "empty-weight-chain": lambda: WeightChain(()),
     "weight-below-one": lambda: WeightChain((2, 0)),
+    "weight-fraction": lambda: WeightChain([2.5]),
+    "weight-nan": lambda: WeightChain([2, NAN]),
+    "weight-inf": lambda: WeightChain([INF]),
+    "weight-text": lambda: WeightChain(["x"]),
     "group-wrong-shape": lambda: GroupLayout(np.zeros((3, 3)), 0),
     "group-bad-terminal": lambda: GroupLayout(np.zeros((3, 2)), 3),
     "layout-one-node": lambda: random_mirrored_layout(np.random.default_rng(0), num_nodes=1),

@@ -132,6 +132,25 @@ class TestValidate:
         assert any("excitatory_unit" in v for v in violations)
         assert any("inhibitory_weight" in v for v in violations)
 
+    @pytest.mark.parametrize(
+        "patterns, unit, weight, violation",
+        [
+            ((PatternSpec(0, None, 1.5),), 1.0, 0.5, "pattern 0 needs integer id, parent and size"),
+            ((PatternSpec(0, None, float("nan")),), 1.0, 0.5, "pattern 0 needs integer id"),
+            ((PatternSpec(0, None, 1), PatternSpec(1, "0", 1)), 1.0, 0.5, "pattern 1 needs"),
+            ((PatternSpec(0, None, 1),), "1", 0.5, "excitatory_unit must be finite and > 0, got '1'"),
+            ((PatternSpec(0, None, 1),), 10**400, 0.5, "got 1000000000000000000000000000000000000000..."),
+            ((PatternSpec(0, None, 1),), 1.0, 0.5j, "inhibitory_weight must be finite and >= 0"),
+            ((), 1.0, 0.5, "ensemble has no patterns"),
+            ((PatternSpec(0, None, 1), PatternSpec(2, 0, 1)), 1.0, 0.5, "position 1 has id 2"),
+        ],
+        ids=["size-fraction", "size-nan", "parent-text", "unit-text", "unit-huge", "weight-complex",
+             "no-patterns", "id-out-of-place"],
+    )
+    def test_reports_fields_of_the_wrong_type(self, patterns, unit, weight, violation):
+        violations = validate(EnsembleSpec(patterns, unit, weight))
+        assert len(violations) == 1 and violation in violations[0]
+
     def test_all_violations_reported_not_just_first(self):
         spec = EnsembleSpec((PatternSpec(0, 0, 0),), 0.0, 0.5)
         violations = validate(spec)

@@ -102,8 +102,11 @@ def test_fields_are_coerced_to_tuples():
         (lambda: Schedule((1, 0)), "activation step for pattern 1 must be >= 1, got 0"),
         (lambda: Schedule((-(10**20),)), r"pattern 0 must be >= 1, got -\(over 9 digits\)"),
         (lambda: Schedule.staggered(3, 0), "interval must be >= 1, got 0"),
+        (lambda: Schedule([1, 1.5]), "activation step for pattern 1 must be a whole number, got 1.5"),
+        (lambda: Schedule(["x"]), "activation step for pattern 0 must be a whole number, got 'x'"),
+        (lambda: Schedule.staggered(3, 1.5), "interval must be a whole number, got 1.5"),
     ],
-    ids=["activation-step", "huge-step", "interval"],
+    ids=["activation-step", "huge-step", "interval", "fraction", "text", "interval-fraction"],
 )
 def test_schedule_validates_on_construction(make, message):
     with pytest.raises(ValidationError, match=message):
@@ -279,6 +282,7 @@ def test_chain_values_coerce_fields():
         (lambda: ChainSpec(()), "a chain needs at least one hop"),
         (lambda: WeightChain([]), "a weight chain needs at least one hop"),
         (lambda: WeightChain([2, 0]), "all weights must be >= 1, got 0"),
+        (lambda: WeightChain([2, math.nan]), "weight 1 must be a whole number, got nan"),
         (lambda: Route(0.0), "route length must be > 0, got 0.0"),
         (lambda: Route(length=1.0, reinforcement=-1.0), "reinforcement must be >= 0, got -1.0"),
         (lambda: Route(math.inf), "length must be finite, got inf"),
@@ -301,6 +305,7 @@ def test_chain_values_coerce_fields():
         "no-hops",
         "no-weights",
         "zero-weight",
+        "nan-weight",
         "zero-length",
         "negative-reinforcement",
         "infinite-length",
