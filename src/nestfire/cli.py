@@ -173,13 +173,10 @@ def _cmd_center(args) -> int:
 
 
 def _cmd_layout(args) -> int:
-    from .topology import brief, check_rows
+    from .topology import _whole, check_rows
 
-    if args.trials < 1:
-        raise ValidationError(f"--trials must be >= 1, got {brief(args.trials)}")
-    check_rows("--trials", args.trials)
-    if args.seed < 0:
-        raise ValidationError(f"--seed must be >= 0, got {brief(args.seed)}")
+    check_rows("--trials", _whole(args.trials, "--trials", 1))
+    _whole(args.seed, "--seed", 0)
     try:
         import numpy as np
     except ImportError:

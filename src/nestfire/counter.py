@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 
 from .errors import InvalidDepth
-from .topology import Frozen, brief, check_rows
+from .topology import Frozen, _whole, check_rows
 
 __all__ = [
     "Phase",
@@ -43,11 +43,15 @@ class Phase(enum.Enum):
 
 
 class CounterSpec(Frozen):
-    """Chain depth plus an optional name carried on emitted signals."""
+    """Chain depth plus an optional name that no event carries. A depth below
+    1 constructs, and ``start``, ``tick`` and ``run_counter`` refuse it."""
 
     _fields = ("depth", "label")
     depth: int
     label: str | None = None
+
+    def _check(self) -> None:
+        object.__setattr__(self, "depth", _whole(self.depth, "counter depth", error=InvalidDepth))
 
 
 class CountEvent(Frozen):
@@ -104,6 +108,5 @@ def _state_at(spec: CounterSpec, t: int) -> CounterState:
 
 
 def _check_depth(spec: CounterSpec) -> None:
-    if spec.depth < 1:
-        raise InvalidDepth(f"counter depth must be >= 1, got {brief(spec.depth)}")
-    check_rows("counter depth", spec.depth)  # one count event per level
+    # One count event per level.
+    check_rows("counter depth", _whole(spec.depth, "counter depth", 1, error=InvalidDepth))

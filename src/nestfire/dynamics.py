@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 from .errors import OutOfRange, SpecMismatch, ValidationError, WrongShape
 # bench/tracing.py swaps ``members`` (not called here) and ``ancestors`` (see
 # ``_compile``) by name, so both stay bound; tests/test_traced_names.py pins them.
-from .topology import EnsembleSpec, Frozen, _whole, ancestors, brief, check_rows, members, validate
+from .topology import EnsembleSpec, Frozen, _whole, ancestors, check_rows, members, validate
 
 if TYPE_CHECKING:
     import numpy as np
@@ -86,7 +86,7 @@ class Schedule(Frozen):
     def staggered(cls, num_patterns: int, interval: int = 1) -> "Schedule":
         """One new pattern per ``interval`` steps, outermost first: t_k = 1 + k*interval."""
         interval = _whole(interval, "interval", 1)
-        return cls(tuple(1 + k * interval for k in range(num_patterns)))
+        return cls(tuple(1 + k * interval for k in range(_whole(num_patterns, "num_patterns", 0))))
 
 
 class SimState(NamedTuple):
@@ -207,8 +207,7 @@ def run(
 ) -> TraceTable:
     """Run ``steps`` steps from the all-zero state and collect the full trace.
     A run of more than ``topology.MAX_ROWS`` steps x neurons is refused."""
-    if steps < 1:
-        raise ValidationError(f"steps must be >= 1, got {brief(steps)}")
+    steps = _whole(steps, "steps", 1)
     advance = _compile(spec, schedule, mode, steps)
     check_rows("steps x neurons", steps, spec.num_neurons)
     rows = array("d")
@@ -221,27 +220,29 @@ def run(
 
 def pattern_strength(trace: TraceTable, pattern: int, t: int) -> float:
     """The strength every member of ``pattern`` holds after step ``t`` (1-based)."""
-    if not 1 <= t <= trace.num_steps:
-        raise OutOfRange(f"step {t} not in 1..{trace.num_steps}")
-    if not 0 <= pattern < trace.num_patterns:
-        raise OutOfRange(f"pattern {pattern} not present in trace")
-    value = trace._rows[(t - 1) * trace.num_patterns + pattern]
-    if isinstance(value, complex):
-        raise WrongShape(f"strengths must be real numbers, got {value!r}")
-    return float(value)
+    t = _whole(t, "step", 1, trace.num_steps, OutOfRange)
+    pattern = _whole(pattern, "pattern", 0, trace.num_patterns - 1, OutOfRange)
+    return _strength(trace._rows[(t - 1) * trace.num_patterns + pattern])
 
 
 def first_zero_step(trace: TraceTable, pattern: int) -> int | None:
     """Earliest step at which ``pattern`` returns to 0 after having been
     positive; None if that never happens within the trace."""
+    pattern = _whole(pattern, "pattern", 0, trace.num_patterns - 1, OutOfRange)
     was_positive = False
-    for t in range(1, trace.num_steps + 1):
-        value = pattern_strength(trace, pattern, t)
+    for t, value in enumerate(map(_strength, trace._rows[pattern :: trace.num_patterns]), 1):
         if was_positive and value == 0.0:
             return t
         if value > 0.0:
             was_positive = True
     return None
+
+
+def _strength(value) -> float:
+    """A stored strength as a float; a complex one raises WrongShape."""
+    if isinstance(value, complex):
+        raise WrongShape(f"strengths must be real numbers, got {value!r}")
+    return float(value)
 
 
 def golden_table(trace: TraceTable) -> np.ndarray:

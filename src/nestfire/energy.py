@@ -21,7 +21,7 @@ from operator import mul
 from typing import TYPE_CHECKING
 
 from .errors import AttenuatedOut, DegenerateLayout, OutOfRange, ValidationError
-from .topology import Frozen, _whole, brief
+from .topology import Frozen, _real, _shown, _whole, brief
 
 __all__ = [
     "HopSpec",
@@ -124,6 +124,7 @@ class WeightChain(Frozen):
 
 def required_output(hop: HopSpec, downstream_demand: float) -> float:
     """Output the feeder must emit so ``downstream_demand`` survives the hop."""
+    _check_finite(downstream_demand=downstream_demand)
     return downstream_demand + hop.distance * hop.attenuation
 
 
@@ -182,6 +183,7 @@ def event_oracle(chain: ChainSpec) -> int:
 
 def hops_from_weights(chain: WeightChain, impulse: float = 1.0) -> ChainSpec:
     """Zero-distance chain whose per-hop requirement equals each weight."""
+    _check_finite(impulse=impulse)  # before it multiplies: 2 * "x" is "xx"
     try:
         thresholds = [w * impulse for w in chain.weights]
     except OverflowError:
@@ -194,9 +196,7 @@ def centering_cost(chain: WeightChain, position: int) -> int:
     """Additional firings to span the whole line from ``position``: the
     product of weights on each side, summed. An empty side costs 0, since
     zero hops need zero firings."""
-    if not 0 <= position < chain.num_positions:
-        raise OutOfRange(f"position {position} not in 0..{chain.num_positions - 1}")
-    return chain._costs[position]
+    return chain._costs[_whole(position, "position", 0, chain.num_positions - 1, OutOfRange)]
 
 
 def best_center(chain: WeightChain) -> int:
@@ -224,6 +224,7 @@ class GroupLayout(Frozen):
             raise ValidationError(f"nodes must be a (k, 2) array, got shape {nodes.shape}")
         if not np.isfinite(nodes).all():
             raise ValidationError("node positions must be finite")
+        object.__setattr__(self, "terminal", _whole(self.terminal, "terminal"))
         if not 0 <= self.terminal < nodes.shape[0]:
             raise ValidationError(f"terminal {self.terminal} not among the {nodes.shape[0]} nodes")
 
@@ -290,9 +291,8 @@ def random_mirrored_layout(
     midpoint between centers, so the terminals sit on the facing edges."""
     import numpy as np
 
-    if num_nodes < 2:
-        raise ValidationError(f"need at least 2 nodes per group, got {num_nodes}")
-    if radius <= 0 or separation <= 0:
+    num_nodes = _whole(num_nodes, "num_nodes", 2)
+    if not (0 < _real(radius) and 0 < _real(separation)):  # false for NaN and non-numbers
         raise ValidationError("radius and separation must be > 0")
     angles = rng.uniform(0.0, 2.0 * np.pi, size=num_nodes)
     radii = radius * np.sqrt(rng.uniform(0.0, 1.0, size=num_nodes))
@@ -335,9 +335,8 @@ def stigmergy_reinforce(routes: RouteSet, cycles: int, energy_per_cycle: float) 
     Equal energy reaches each route per cycle, so shorter routes accumulate
     trace faster, exactly as pheromone trails favour shorter paths.
     """
+    cycles = _whole(cycles, "cycles", 0)
     _check_finite(energy_per_cycle=energy_per_cycle)
-    if cycles < 0:
-        raise ValidationError(f"cycles must be >= 0, got {cycles}")
     if energy_per_cycle <= 0:
         raise ValidationError(f"energy_per_cycle must be > 0, got {energy_per_cycle}")
     return RouteSet(
@@ -359,7 +358,7 @@ def most_reinforced(routes: RouteSet) -> int:
 
 
 def _check_finite(**values: float) -> None:
-    """Reject NaN and infinite inputs, naming the first one found."""
+    """Reject inputs that are not finite real numbers, naming the first one found."""
     for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value}")
+        if not math.isfinite(_real(value)):
+            raise ValidationError(f"{name} must be finite, got {_shown(value)}")

@@ -10,7 +10,6 @@ __all__ = [
     "InvalidDimension",
     "UnknownPattern",
     "SpecMismatch",
-    "AsymmetricPattern",
     "OutOfRange",
     "WrongShape",
     "InvalidDepth",
@@ -31,10 +30,6 @@ class UnknownPattern(NestfireError, LookupError):
 
 class SpecMismatch(NestfireError, ValueError):
     """Simulation state dimensions disagree with the ensemble spec."""
-
-
-class AsymmetricPattern(NestfireError, ValueError):
-    """Members of one pattern disagree in a trace read from text."""
 
 
 class OutOfRange(NestfireError, IndexError):

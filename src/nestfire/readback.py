@@ -17,9 +17,9 @@ from struct import pack
 from typing import TYPE_CHECKING, NamedTuple
 
 from .dynamics import TraceTable, _golden_rows
-from .errors import AsymmetricPattern, ParseError, ValidationError, WrongShape
+from .errors import ParseError, ValidationError, WrongShape
 from .scenario import TRACE_HEADER
-from .topology import brief
+from .topology import _real, _shown, brief
 
 if TYPE_CHECKING:
     import numpy as np
@@ -65,14 +65,15 @@ class GoldenReport(NamedTuple):
 def read_trace(text: str) -> TraceTable:
     """Inverse of :func:`write_trace` for rows in canonical order. The members of a
     pattern must agree bit for bit at every step, ``0.0`` and ``-0.0`` included
-    (else AsymmetricPattern), and pattern labels must run 1..P (else WrongShape)."""
+    (else ParseError at the row that disagrees), and pattern labels must run
+    1..P (else WrongShape)."""
     # Step 1 lays out the neurons, and later steps must repeat its blocks:
     # ``starts`` holds them as (pattern, first neuron, label text). After each
     # row, the rows that repeat it but for the neuron are checked a run at a
     # time, written out as write_trace writes them and compared with the text;
     # the run doubles while it matches and halves when it does not.
     rows, values, starts = array("d"), {}, []
-    step, neuron, size, block, limit, label, asymmetric = 1, 0, 0, 0, 0, 0, None
+    step, neuron, size, block, limit, label = 1, 0, 0, 0, 0, 0
     step_text, pattern_text = "1", None
     number, pos = _header(text, TRACE_HEADER)
     while pos < len(text):
@@ -100,8 +101,8 @@ def read_trace(text: str) -> TraceTable:
                 raise ParseError(f"line {number}: expected step, neuron, pattern {want}, got {got}")
         strength = _field(fields, 3, number)
         first = values.setdefault(label, strength)
-        if first is not strength and not asymmetric and pack("d", first) != pack("d", strength):
-            asymmetric = AsymmetricPattern(f"pattern {label} members disagree at step {step}")
+        if first is not strength and pack("d", first) != pack("d", strength):
+            raise ParseError(f"line {number}: pattern {label} members disagree at step {step}")
         run = len(_TAILS) if size else _RUN
         while (many := min(run, limit - 1 - neuron) if size else run) >= (1 if size else _RUN):
             (k, r), tail = divmod(neuron + 1, len(_TAILS)), f",{pattern_text},{v}\n"
@@ -122,8 +123,6 @@ def read_trace(text: str) -> TraceTable:
     patterns = {q for q, _, _ in starts[:-1]}
     if patterns != set(range(1, len(patterns) + 1)):
         raise WrongShape(f"pattern_of must name each pattern of strength{(step, len(patterns))}")
-    if asymmetric:
-        raise asymmetric
     blocks = [(q - 1, end - first) for (q, first, _), (_, end, _) in zip(starts, starts[1:])]
     return object.__new__(TraceTable)._hold(rows, (step, len(patterns)), blocks)
 
@@ -136,8 +135,8 @@ def compare_grids(actual, expected, tolerance: float = GOLDEN_TOLERANCE) -> Gold
     (shape, actual), (other, expected) = _grid(actual), _grid(expected)
     if shape != other or len(shape) != 2:
         raise WrongShape(f"grid shapes disagree: {shape} vs {other}")
-    if not (math.isfinite(tolerance) and tolerance >= 0):
-        raise ValidationError(f"tolerance must be finite and >= 0, got {tolerance}")
+    if not 0 <= _real(tolerance) < math.inf:
+        raise ValidationError(f"tolerance must be finite and >= 0, got {_shown(tolerance)}")
     errors, mismatches = [], []
     for i, (row_a, row_e) in enumerate(zip(actual, expected)):
         for j, (a, e) in enumerate(zip(row_a, row_e)):

@@ -22,7 +22,7 @@ from typing import NamedTuple, TextIO
 
 from .dynamics import MODE_FREE_RUN, MODE_SCHEDULED, Schedule, TraceTable
 from .errors import ParseError, ValidationError
-from .topology import EnsembleSpec, brief, build_linear, check_rows, validate
+from .topology import EnsembleSpec, _whole, build_linear, check_rows, validate
 
 __all__ = ["Scenario", "parse_scenario", "write_scenario", "standard_scenario", "write_trace"]
 
@@ -97,10 +97,8 @@ def parse_scenario(text: str) -> Scenario:
     if mode not in _MODES:
         raise ParseError(f"mode must be one of {_MODES}, got {mode!r}")
 
-    if steps < 1:
-        raise ValidationError(f"steps must be >= 1, got {brief(steps)}")
     # Refused before the ensemble is built, not only before it runs.
-    check_rows("steps x depth x pattern_size", steps, depth, pattern_size)
+    check_rows("steps x depth x pattern_size", _whole(steps, "steps", 1), depth, pattern_size)
     spec = build_linear(depth, pattern_size, excitatory_unit, inhibitory_weight)
     violations = validate(spec)
     if violations:
@@ -121,7 +119,8 @@ def write_scenario(scenario: Scenario) -> str:
     """Serialize a scenario back to a document; parse(write(s)) == s.
 
     Only linear chains with uniform pattern size are representable in the
-    file schema; anything else raises ValidationError.
+    file schema; anything else raises ValidationError. A scenario that
+    :func:`parse_scenario` would refuse raises what it raises.
     """
     spec = scenario.ensemble
     sizes = {p.size for p in spec.patterns}
@@ -141,7 +140,10 @@ def write_scenario(scenario: Scenario) -> str:
         "steps": scenario.steps,
         "mode": scenario.mode,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    text = json.dumps(doc, indent=2) + "\n"
+    if parse_scenario(text) != scenario:  # pattern ids other than 0..P-1
+        raise ValidationError("the scenario reads back as another one")
+    return text
 
 
 def standard_scenario() -> Scenario:

@@ -123,8 +123,7 @@ class EnsembleSpec(Frozen):
 
     def offset(self, pattern: int) -> int:
         """First neuron index of ``pattern`` (patterns occupy contiguous blocks)."""
-        _check_pattern(self, pattern)
-        return self._offsets[pattern]
+        return self._offsets[_check_pattern(self, pattern)]
 
     @cached_property
     def _offsets(self) -> tuple[int, ...]:
@@ -143,6 +142,8 @@ def build_linear(
     Produces depth * size neurons in total, ``size`` per pattern. Pattern 0 is
     the outermost (root); pattern depth-1 is the innermost.
     """
+    depth = _whole(depth, "depth", error=InvalidDimension)
+    size = _whole(size, "size", error=InvalidDimension)
     if depth < 1 or size < 1:
         raise InvalidDimension(
             f"depth and size must be >= 1, got depth={brief(depth)} size={brief(size)}"
@@ -160,22 +161,21 @@ def ancestors(spec: EnsembleSpec, pattern: int) -> list[int]:
     These are exactly the patterns that receive inhibition when ``pattern``
     fires. The root returns an empty list.
     """
-    _check_pattern(spec, pattern)
     chain: list[int] = []
-    current = spec.patterns[pattern].parent
+    current = spec.patterns[_check_pattern(spec, pattern)].parent
     while current is not None:
         # A valid chain has fewer than P ancestors; a longer walk is a cycle.
-        if len(chain) == spec.num_patterns or not 0 <= current < spec.num_patterns:
-            raise ValidationError(f"nesting cycle or dangling parent at pattern {current}")
-        chain.append(current)
-        current = spec.patterns[current].parent
+        if len(chain) == spec.num_patterns:
+            raise ValidationError(f"nesting cycle at pattern {current}")
+        chain.append(_whole(current, "parent", 0, spec.num_patterns - 1))
+        current = spec.patterns[chain[-1]].parent
     return chain
 
 
 def members(spec: EnsembleSpec, pattern: int) -> list[int]:
     """Neuron indices of ``pattern``: the targets of its internal excitation."""
-    start = spec.offset(pattern)
-    return list(range(start, start + spec.patterns[pattern].size))
+    k = _check_pattern(spec, pattern)
+    return list(range(spec._offsets[k], spec._offsets[k + 1]))
 
 
 def validate(spec: EnsembleSpec) -> list[str]:
@@ -223,18 +223,21 @@ def _real(value) -> float:
         return math.nan
 
 
-def _whole(value, what: str, least: int | None = None) -> int:
-    """``value`` as an int, at least ``least`` if that is given: an integer, or
-    a float with no fraction part such as ``2.0``. Anything else raises
-    ValidationError naming ``what``."""
+def _whole(value, what: str, least: int | None = None, most: int | None = None,
+           error: type[Exception] = ValidationError) -> int:
+    """``value`` as an int: an integer, or a float with no fraction part such
+    as ``2.0``. Anything else, or a number below ``least`` or above ``most``
+    where those are given, raises ``error`` naming ``what``."""
     if hasattr(type(value), "__index__"):  # what ``operator.index`` takes
         n = value.__index__()
     elif isinstance(value, float) and value.is_integer():
         n = int(value)
     else:
-        raise ValidationError(f"{what} must be a whole number, got {_shown(value)}")
+        raise error(f"{what} must be a whole number, got {_shown(value)}")
+    if most is not None and not least <= n <= most:
+        raise error(f"{what} {brief(n)} not in {least}..{most}")
     if least is not None and n < least:
-        raise ValidationError(f"{what} must be >= {least}, got {brief(n)}")
+        raise error(f"{what} must be >= {least}, got {brief(n)}")
     return n
 
 
@@ -259,6 +262,5 @@ def brief(n: int) -> str:
     return f"{'-' if n < 0 else ''}(over 9 digits)"
 
 
-def _check_pattern(spec: EnsembleSpec, pattern: int) -> None:
-    if not 0 <= pattern < spec.num_patterns:
-        raise UnknownPattern(f"pattern {pattern} not in 0..{spec.num_patterns - 1}")
+def _check_pattern(spec: EnsembleSpec, pattern: int) -> int:
+    return _whole(pattern, "pattern", 0, spec.num_patterns - 1, UnknownPattern)

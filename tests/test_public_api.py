@@ -8,7 +8,6 @@ import pytest
 import nestfire
 
 PUBLIC_NAMES = [
-    "AsymmetricPattern",
     "AttenuatedOut",
     "ChainSpec",
     "CountEvent",

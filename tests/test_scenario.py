@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from nestfire import (
     MODE_FREE_RUN,
     MODE_SCHEDULED,
-    AsymmetricPattern,
     EnsembleSpec,
     NestfireError,
     ParseError,
@@ -151,6 +150,12 @@ class TestParseScenario:
         with pytest.raises(ValidationError, match="budget of 124 rows"):
             parse_scenario(shipped_scenario_text())
 
+    def test_schedule_without_type_is_a_parse_error(self):
+        doc = standard_doc()
+        del doc["schedule"]["type"]
+        with pytest.raises(ParseError, match="^missing key 'schedule.type'$"):
+            parse_scenario(json.dumps(doc))
+
     def test_schedule_length_must_match_depth(self):
         doc = standard_doc()
         doc["schedule"] = {"type": "explicit", "steps": [1, 2, 3]}
@@ -187,6 +192,55 @@ class TestParseScenario:
         assert parse_scenario(write_scenario(original)) == original
         varied = original._replace(steps=9, schedule=Schedule((1, 1, 4, 4, 9)))
         assert parse_scenario(write_scenario(varied)) == varied
+
+    @pytest.mark.parametrize(
+        "change, error, message",
+        [
+            ({"steps": 0}, ValidationError, "steps must be >= 1, got 0"),
+            (
+                {"ensemble": build_linear(3, 5, 1.0, 0.5), "schedule": Schedule((1, 2))},
+                ValidationError,
+                "schedule.steps lists 2 patterns, ensemble has 3",
+            ),
+            (
+                {"ensemble": build_linear(5, 5, math.nan, 0.5)},
+                ValidationError,
+                "excitatory_unit must be finite and > 0, got nan",
+            ),
+            ({"mode": "warp"}, ParseError, r"mode must be one of \('scheduled', 'free_run'\)"),
+            (
+                {
+                    "ensemble": EnsembleSpec((PatternSpec(1, None, 5),), 1.0, 0.5),
+                    "schedule": Schedule((1,)),
+                },
+                ValidationError,
+                "the scenario reads back as another one",
+            ),
+        ],
+        ids=["zero-steps", "short-schedule", "nan-unit", "unknown-mode", "id-out-of-place"],
+    )
+    def test_write_refuses_what_parse_refuses(self, change, error, message):
+        with pytest.raises(error, match=message):
+            write_scenario(standard_scenario()._replace(**change))
+
+    @given(
+        data=st.data(),
+        depth=st.integers(1, 4),
+        size=st.integers(1, 3),
+        unit=st.sampled_from([0.3, 1.0, 2.0, 1e300, math.nan]),
+        weight=st.sampled_from([0.0, -0.0, 1 / 3, 0.5, 1.5, -0.5]),
+        steps=st.integers(0, 6),
+        mode=st.sampled_from([MODE_SCHEDULED, MODE_FREE_RUN, "warp"]),
+    )
+    def test_write_accepts_only_what_reads_back(self, data, depth, size, unit, weight, steps, mode):
+        num = data.draw(st.sampled_from([depth, depth, depth, depth + 1]))
+        schedule = Schedule(data.draw(st.lists(st.integers(1, 6), min_size=num, max_size=num)))
+        scenario = Scenario(build_linear(depth, size, unit, weight), schedule, steps, mode)
+        try:
+            text = write_scenario(scenario)
+        except NestfireError:
+            return
+        assert parse_scenario(text) == scenario
 
     def test_unrepresentable_ensemble_fails_validation(self):
         spec = EnsembleSpec((PatternSpec(0, None, 2), PatternSpec(1, 0, 3)), 1.0, 0.5)
@@ -275,7 +329,7 @@ class TestTraceSerialization:
     )
     def test_members_of_a_pattern_must_agree(self, first, second):
         text = f"step,neuron,pattern,strength\n1,1,1,{first!r}\n1,2,1,{second!r}\n1,3,2,0.0\n"
-        with pytest.raises(AsymmetricPattern, match="pattern 1 members disagree at step 1"):
+        with pytest.raises(ParseError, match="^line 3: pattern 1 members disagree at step 1$"):
             read_trace(text)
 
     def test_pattern_labels_must_not_skip(self):
@@ -593,7 +647,10 @@ class TestStreamingReader:
             assert math.copysign(1, got) == -math.copysign(1, float(value))
             return
         if kind == "flip":
-            error, message = AsymmetricPattern, f"^pattern {pattern} members disagree at step {t}$"
+            # A pattern's first member is refused on the next line, where the second disagrees.
+            line += (int(neuron) - 1) % size == 0
+            error = ParseError
+            message = f"^line {line}: pattern {pattern} members disagree at step {t}$"
         elif line is None:
             error, message = ParseError, f"^expected {steps * n} rows, got {steps * n - 1}$"
         else:
