@@ -75,6 +75,9 @@ print(json.dumps({"ensemble": ensemble, "schedule": {"type": "staggered", "inter
                   "steps": 2, "mode": "scheduled"}))
 EOF
 (ulimit -v 100000 && "$dir/nonumpy/bin/python" -m nestfire simulate --scenario "$dir/nonumpy-wide.scenario" --out /dev/null)
+# A counter of depth 1 000 000: its counts are a range of levels, printed
+# one line at a time, so they too fit in 100 MB of address space.
+(ulimit -v 100000 && "$dir/nonumpy/bin/python" -m nestfire counter --depth 1000000 > /dev/null)
 # The README's quick start.
 "$dir/nonumpy/bin/python" - <<'EOF'
 import sys

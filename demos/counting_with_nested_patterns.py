@@ -11,27 +11,23 @@ been converted into exactly d scheduled signals.
 from nestfire import CounterSpec, Phase, run_counter, start, tick
 
 print("= Tick-by-tick lifecycle, depth 3 =\n")
-spec = CounterSpec(depth=3, label="demo")
+spec = CounterSpec(depth=3)
 state = start(spec)
 print(f"tick {state.tick}: {state.phase.value}")
 while state.phase is not Phase.QUIESCENT:
     state = tick(state, spec)
-    latest = state.emissions[-1] if state.emissions else None
-    emitted = (
-        f" -> count level={latest.level}"
-        if latest and latest.tick == state.tick
-        else ""
-    )
-    print(f"tick {state.tick}: {state.phase.value}{emitted}")
+    # A level counts on the tick it activates: the one it cascades at.
+    counted = f" -> count level={state.level}" if state.phase is Phase.CASCADING else ""
+    print(f"tick {state.tick}: {state.phase.value}{counted}")
 
 print("\nThe cascade emitted one count per nesting level, then shut itself")
 print("off two ticks later. No external controller decided when to stop.\n")
 
 print("= The same contract at other depths =\n")
 for depth in (1, 4, 10):
-    events, final = run_counter(CounterSpec(depth=depth))
-    ticks = ", ".join(str(e.tick) for e in events)
-    print(f"depth {depth:>2}: {len(events):>2} counts at ticks [{ticks}],"
+    levels, final = run_counter(CounterSpec(depth=depth))
+    ticks = ", ".join(map(str, levels))  # level k counts at tick k
+    print(f"depth {depth:>2}: {len(levels):>2} counts at ticks [{ticks}],"
           f" quiescent at tick {final.tick}")
 
 print("\nA depth-d chain always yields d counts and d+2 total ticks, so")

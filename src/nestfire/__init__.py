@@ -8,7 +8,8 @@ builds:
 * ``topology`` -- the nesting structure and its connectivity queries;
 * ``dynamics`` -- the discrete-time firing simulation, one strength per
   pattern, with a golden-table extraction against the reference table;
-* ``counter`` -- a timer/counter/battery over a nested chain, in closed form;
+* ``counter`` -- a timer/counter/battery over a nested chain, in closed form,
+  its counts a ``range`` of levels;
 * ``energy`` -- signal attenuation, capacitor-style multi-hop firing
   arithmetic, the multiplicative centering cost, and the inward-vs-outward
   layout economics with stigmergic reinforcement;

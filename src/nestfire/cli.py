@@ -143,9 +143,9 @@ def _cmd_verify_table1(args) -> int:
 def _cmd_counter(args) -> int:
     from .counter import CounterSpec
 
-    events, final = run_counter(CounterSpec(depth=args.depth))
-    for event in events:
-        print(f"count level={event.level} tick={event.tick}")
+    levels, final = run_counter(CounterSpec(depth=args.depth))
+    for k in levels:  # level k counts at tick k
+        print(f"count level={k} tick={k}")
     print(f"quiescent tick={final.tick}")
     return 0
 

@@ -114,13 +114,13 @@ class SimState(NamedTuple):
 class TraceTable(Frozen):
     """Step x pattern strengths plus a neuron-to-pattern map naming every pattern.
 
-    A table holds its strengths as one flat sequence of Python numbers,
-    step after step (``run``'s ``array('d')``, or the constructor's array
-    converted), and its map as ``(pattern, count)`` blocks of neighbouring
-    neurons. The arrays ``strength``, ``pattern_of`` and ``values`` are
-    built from those, importing numpy, when first read; the constructor
-    keeps the arrays it was given as the first two. Tables are equal only
-    to themselves; the repr shows the strengths.
+    A table holds its strengths, integers or floats, as one flat sequence
+    of Python numbers, step after step (``run``'s ``array('d')``, or the
+    constructor's array converted), and its map as ``(pattern, count)``
+    blocks of neighbouring neurons. The arrays ``strength``, ``pattern_of``
+    and ``values`` are built from those, importing numpy, when first read;
+    the constructor keeps the arrays it was given as the first two. Tables
+    are equal only to themselves; the repr shows the strengths.
     """
 
     _fields = ("strength",)
@@ -131,6 +131,8 @@ class TraceTable(Frozen):
     def __init__(self, strength: np.ndarray, pattern_of: np.ndarray) -> None:
         object.__setattr__(self, "strength", strength)
         object.__setattr__(self, "pattern_of", pattern_of)
+        if strength.dtype.kind not in "iuf":  # bools, complex numbers and objects do not read back
+            raise WrongShape(f"strengths must be integers or floats, got dtype {strength.dtype}")
         shapes_ok = self.strength.ndim == 2 and self.pattern_of.ndim == 1
         # A set, not np.unique: that imports numpy.ma (tens of ms) on first use.
         if not shapes_ok or set(self.pattern_of.tolist()) != set(range(self.strength.shape[1])):
@@ -188,15 +190,16 @@ def step(
     # The kernel gets lists, not the state's arrays, which thus stay as they are.
     firing = np.flatnonzero(state.active).tolist()
     start = state.strength.tolist(), state.ever_active.tolist(), firing
-    advance = _compile(spec, schedule, mode, state.step + 1, start)
+    t = _whole(state.step, "state step", 0) + 1
+    advance = _compile(spec, schedule, mode, t, start)
     shape = (spec.num_patterns,)
     if {state.strength.shape, state.active.shape, state.ever_active.shape} != {shape}:
         raise SpecMismatch(f"state arrays need one entry for each of {spec.num_patterns} patterns")
-    strength, ever_active, firing = advance(state.step + 1, state.drive)
+    strength, ever_active, firing = advance(t, state.drive)
     active = np.zeros(spec.num_patterns, dtype=bool)
     active[firing] = True
     strength, ever_active = np.array(strength, dtype=float), np.array(ever_active, dtype=bool)
-    return SimState(state.step + 1, strength, active, ever_active, state.drive)
+    return SimState(t, strength, active, ever_active, state.drive)
 
 
 def run(
@@ -222,7 +225,7 @@ def pattern_strength(trace: TraceTable, pattern: int, t: int) -> float:
     """The strength every member of ``pattern`` holds after step ``t`` (1-based)."""
     t = _whole(t, "step", 1, trace.num_steps, OutOfRange)
     pattern = _whole(pattern, "pattern", 0, trace.num_patterns - 1, OutOfRange)
-    return _strength(trace._rows[(t - 1) * trace.num_patterns + pattern])
+    return float(trace._rows[(t - 1) * trace.num_patterns + pattern])
 
 
 def first_zero_step(trace: TraceTable, pattern: int) -> int | None:
@@ -230,19 +233,12 @@ def first_zero_step(trace: TraceTable, pattern: int) -> int | None:
     positive; None if that never happens within the trace."""
     pattern = _whole(pattern, "pattern", 0, trace.num_patterns - 1, OutOfRange)
     was_positive = False
-    for t, value in enumerate(map(_strength, trace._rows[pattern :: trace.num_patterns]), 1):
+    for t, value in enumerate(map(float, trace._rows[pattern :: trace.num_patterns]), 1):
         if was_positive and value == 0.0:
             return t
         if value > 0.0:
             was_positive = True
     return None
-
-
-def _strength(value) -> float:
-    """A stored strength as a float; a complex one raises WrongShape."""
-    if isinstance(value, complex):
-        raise WrongShape(f"strengths must be real numbers, got {value!r}")
-    return float(value)
 
 
 def golden_table(trace: TraceTable) -> np.ndarray:

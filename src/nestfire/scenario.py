@@ -22,7 +22,7 @@ from typing import NamedTuple, TextIO
 
 from .dynamics import MODE_FREE_RUN, MODE_SCHEDULED, Schedule, TraceTable
 from .errors import ParseError, ValidationError
-from .topology import EnsembleSpec, _whole, build_linear, check_rows, validate
+from .topology import EnsembleSpec, _real, _whole, build_linear, check_rows, validate
 
 __all__ = ["Scenario", "parse_scenario", "write_scenario", "standard_scenario", "write_trace"]
 
@@ -123,25 +123,26 @@ def write_scenario(scenario: Scenario) -> str:
     :func:`parse_scenario` would refuse raises what it raises.
     """
     spec = scenario.ensemble
-    sizes = {p.size for p in spec.patterns}
+    sizes = {_whole(p.size, "pattern_size") for p in spec.patterns}
     parents = [p.parent for p in spec.patterns]
     linear = parents == [None] + list(range(spec.num_patterns - 1))
     if len(sizes) != 1 or not linear:
         raise ValidationError("only linear chains with uniform pattern size serialize")
+    (size,) = sizes
     doc = {
         "ensemble": {
             "depth": spec.num_patterns,
-            "pattern_size": spec.patterns[0].size,
-            "excitatory_unit": spec.excitatory_unit,
-            "inhibitory_weight": spec.inhibitory_weight,
+            "pattern_size": size,
+            "excitatory_unit": _real(spec.excitatory_unit),  # NaN, and refused, if not real
+            "inhibitory_weight": _real(spec.inhibitory_weight),
             "nesting": "linear",
         },
         "schedule": {"type": "explicit", "steps": list(scenario.schedule.activation_step)},
-        "steps": scenario.steps,
-        "mode": scenario.mode,
+        "steps": _whole(scenario.steps, "steps"),
+        "mode": str(scenario.mode),
     }
     text = json.dumps(doc, indent=2) + "\n"
-    if parse_scenario(text) != scenario:  # pattern ids other than 0..P-1
+    if parse_scenario(text) != scenario:  # ids other than 0..P-1, or a mode that only prints as one
         raise ValidationError("the scenario reads back as another one")
     return text
 

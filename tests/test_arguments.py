@@ -9,6 +9,7 @@ import pytest
 
 from nestfire import (
     CounterSpec,
+    CounterState,
     EnsembleSpec,
     GroupLayout,
     HopSpec,
@@ -16,6 +17,7 @@ from nestfire import (
     InvalidDimension,
     OutOfRange,
     PatternSpec,
+    Phase,
     Route,
     RouteSet,
     Schedule,
@@ -28,12 +30,15 @@ from nestfire import (
     compare_grids,
     first_zero_step,
     hops_from_weights,
+    initial_state,
     members,
     pattern_strength,
     random_mirrored_layout,
     required_output,
     run,
+    step,
     stigmergy_reinforce,
+    tick,
 )
 
 SPEC = build_linear(3, 2, 1.0, 0.5)
@@ -64,6 +69,15 @@ WHOLE = {
     "members-pattern": (lambda n: members(SPEC, n), UnknownPattern),
     "offset-pattern": (lambda n: SPEC.offset(n), UnknownPattern),
     "counter-depth": (lambda n: CounterSpec(n), InvalidDepth),
+    # The step number of a state passed in from outside.
+    "step-state_step": (
+        lambda n: step(initial_state(SPEC)._replace(step=n), SPEC, Schedule.staggered(3)),
+        ValidationError,
+    ),
+    "tick-state_tick": (
+        lambda n: tick(CounterState(Phase.CASCADING, 1, n, range(1, 2)), CounterSpec(3)),
+        ValidationError,
+    ),
     "centering_cost-position": (lambda n: centering_cost(WeightChain((2, 3)), n), OutOfRange),
     "stigmergy-cycles": (lambda n: stigmergy_reinforce(ROUTES, n, 1.0), ValidationError),
     "layout-num_nodes": (lambda n: random_mirrored_layout(rng(), num_nodes=n), ValidationError),

@@ -1,5 +1,9 @@
-"""Counter: lifecycle, emission contract, absorbing quiescence, and agreement
-with the first activations of the free-run dynamics."""
+"""Counter: lifecycle, count contract, absorbing quiescence, memory, and
+agreement with the first activations of the free-run dynamics."""
+
+import os
+import tracemalloc
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from nestfire import (
     Schedule,
     ValidationError,
     build_linear,
+    cli,
     initial_state,
     run_counter,
     start,
@@ -36,13 +41,13 @@ class TestStart:
         state = start(CounterSpec(depth=3))
         assert state.phase is Phase.IDLE
         assert state.tick == 0
-        assert state.emissions == ()
+        assert list(state.counted) == []
 
     def test_depth_one_ready(self):
         state = start(CounterSpec(depth=1))
         assert state.phase is Phase.IDLE
         next_state = tick(state, CounterSpec(depth=1))
-        assert [(e.level, e.tick) for e in next_state.emissions] == [(1, 1)]
+        assert list(next_state.counted) == [1]
 
     def test_zero_depth_rejected(self):
         with pytest.raises(InvalidDepth):
@@ -57,7 +62,7 @@ class TestTick:
     def test_depth_three_cascade(self):
         spec = CounterSpec(depth=3)
         states = replay(spec, 3)
-        assert [(e.level, e.tick) for e in states[-1].emissions] == [(1, 1), (2, 2), (3, 3)]
+        assert list(states[-1].counted) == [1, 2, 3]
         assert states[-1].phase is Phase.CASCADING
         assert states[-1].level == 3
 
@@ -65,7 +70,7 @@ class TestTick:
         spec = CounterSpec(depth=3)
         state = replay(spec, 5)[-1]
         assert state.phase is Phase.QUIESCENT
-        assert len(state.emissions) == 3
+        assert len(state.counted) == 3
 
     def test_depth_one_quiescent_at_three(self):
         spec = CounterSpec(depth=1)
@@ -76,14 +81,14 @@ class TestTick:
             Phase.SHUTTING_DOWN,
             Phase.QUIESCENT,
         ]
-        assert len(states[-1].emissions) == 1
+        assert len(states[-1].counted) == 1
 
     def test_shutdown_phases_emit_nothing(self):
         spec = CounterSpec(depth=4)
         states = replay(spec, 10)
         for state in states:
             if state.phase in (Phase.SHUTTING_DOWN, Phase.QUIESCENT):
-                assert len(state.emissions) == spec.depth
+                assert len(state.counted) == spec.depth
 
     def test_quiescent_is_absorbing(self):
         spec = CounterSpec(depth=2)
@@ -95,20 +100,19 @@ class TestTick:
 
 class TestRunCounter:
     def test_depth_three(self):
-        events, final = run_counter(CounterSpec(depth=3))
-        assert [(e.level, e.tick) for e in events] == [(1, 1), (2, 2), (3, 3)]
+        levels, final = run_counter(CounterSpec(depth=3))
+        assert list(levels) == [1, 2, 3]
         assert final.phase is Phase.QUIESCENT
         assert final.tick == 5
 
     def test_depth_ten(self):
-        events, final = run_counter(CounterSpec(depth=10))
-        assert [e.level for e in events] == list(range(1, 11))
-        assert [e.tick for e in events] == list(range(1, 11))
+        levels, final = run_counter(CounterSpec(depth=10))
+        assert list(levels) == list(range(1, 11))
         assert final.tick == 12
 
     def test_depth_one(self):
-        events, final = run_counter(CounterSpec(depth=1))
-        assert [(e.level, e.tick) for e in events] == [(1, 1)]
+        levels, final = run_counter(CounterSpec(depth=1))
+        assert list(levels) == [1]
         assert final.tick == 3
 
     def test_depth_over_the_row_budget_is_refused(self, monkeypatch):
@@ -118,25 +122,45 @@ class TestRunCounter:
             with pytest.raises(ValidationError, match="counter depth exceeds the budget of 3"):
                 call(CounterSpec(depth=4))
 
-    def test_label_is_carried_on_spec(self):
-        spec = CounterSpec(depth=2, label="refractory-timer")
-        events, _ = run_counter(spec)
-        assert spec.label == "refractory-timer"
-        assert len(events) == 2
+
+def traced_peak(call):
+    """The ``tracemalloc`` peak, in bytes, of ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_run_counter_holds_no_count_per_level(self):
+        run_counter(CounterSpec(depth=1))  # the module is loaded before tracing
+        peak = traced_peak(lambda: run_counter(CounterSpec(depth=10**6)))
+        assert peak < 10_000, peak
+
+    def test_command_prints_in_flat_memory(self):
+        with open(os.devnull, "w") as null, redirect_stdout(null):
+            assert cli.dispatch(["counter", "--depth", "1"]) == 0
+            peaks = [
+                traced_peak(lambda: cli.dispatch(["counter", "--depth", str(depth)]))
+                for depth in (10**4, 10**5)
+            ]
+        assert peaks[1] < 3 * peaks[0], peaks
 
 
 @given(depth=st.integers(1, 30))
 def test_counter_contract(depth):
     spec = CounterSpec(depth=depth)
-    events, final = run_counter(spec)
-    # one emission per level, in order, at ticks 1..d
-    assert [(e.level, e.tick) for e in events] == [(k, k) for k in range(1, depth + 1)]
+    levels, final = run_counter(spec)
+    # one count per level, in order, level k at tick k
+    assert list(levels) == list(range(1, depth + 1))
     # quiescent in exactly d+2 ticks, absorbing afterwards
     assert final.phase is Phase.QUIESCENT
     assert final.tick == depth + 2
     assert tick(final, spec) == final
-    # emissions strictly increasing and never beyond depth
-    assert all(e.level <= depth for e in events)
+    # counts strictly increasing and never beyond depth
+    assert all(k <= depth for k in levels)
 
 
 @given(
@@ -158,6 +182,6 @@ def test_count_ticks_match_free_run_first_activations(depth, size, unit, delta):
         for k in np.flatnonzero(state.active):
             if first_fire[k] is None:
                 first_fire[k] = state.step
-    events, _ = run_counter(CounterSpec(depth=depth))
-    assert [e.tick for e in events] == first_fire
-    assert [e.level for e in events] == list(range(1, depth + 1))
+    levels, _ = run_counter(CounterSpec(depth=depth))
+    assert list(levels) == first_fire
+    assert list(levels) == list(range(1, depth + 1))

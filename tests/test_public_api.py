@@ -10,7 +10,6 @@ import nestfire
 PUBLIC_NAMES = [
     "AttenuatedOut",
     "ChainSpec",
-    "CountEvent",
     "CounterSpec",
     "CounterState",
     "DegenerateLayout",

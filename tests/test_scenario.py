@@ -216,12 +216,41 @@ class TestParseScenario:
                 ValidationError,
                 "the scenario reads back as another one",
             ),
+            (
+                {"ensemble": EnsembleSpec(standard_scenario().ensemble.patterns, 1.0, 0.5j)},
+                ValidationError,
+                "inhibitory_weight must be finite and >= 0",
+            ),
+            ({"mode": object()}, ParseError, "mode must be one of"),
+            (
+                {"ensemble": EnsembleSpec([PatternSpec(0, None, [5])], 1.0, 0.5),
+                 "schedule": Schedule((1,))},
+                ValidationError,
+                r"pattern_size must be a whole number, got \[5\]",
+            ),
         ],
-        ids=["zero-steps", "short-schedule", "nan-unit", "unknown-mode", "id-out-of-place"],
+        ids=[
+            "zero-steps", "short-schedule", "nan-unit", "unknown-mode", "id-out-of-place",
+            "complex-weight", "object-mode", "list-size",
+        ],
     )
     def test_write_refuses_what_parse_refuses(self, change, error, message):
         with pytest.raises(error, match=message):
             write_scenario(standard_scenario()._replace(**change))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"steps": np.int64(5)},
+            {"ensemble": EnsembleSpec(standard_scenario().ensemble.patterns, np.float32(0.1), 0.5)},
+            {"ensemble": EnsembleSpec([PatternSpec(0, None, np.int64(5))], 1.0, 0.5),
+             "schedule": Schedule((1,))},
+        ],
+        ids=["int64-steps", "float32-unit", "int64-size"],
+    )
+    def test_write_takes_numpy_numbers(self, change):
+        scenario = standard_scenario()._replace(**change)
+        assert parse_scenario(write_scenario(scenario)) == scenario
 
     @given(
         data=st.data(),
@@ -400,7 +429,6 @@ WRITER_CASES = {
     "steps-without-neurons": table(np.zeros((3, 0)), []),
     "float32": table([[0.1, -0.0, 0.0, 1 / 3]], [0, 0, 1, 2, 3], dtype=np.float32),
     "integer": table([[1, 2], [0, -(2**62)]], [0, 0, 1], dtype=np.int64),
-    "complex": table([[1j, -0.0, 0.0]], [0, 0, 1, 2], dtype=np.complex128),
     "strided-view": TraceTable(
         strength=np.arange(12.0).reshape(2, 6)[:, ::2],
         pattern_of=np.array([0, 0, 1, 1, 2, 2]),
@@ -498,14 +526,24 @@ class TestWriterMatchesReference:
             TraceTable(strength=strength, pattern_of=pattern_of)
 
     @pytest.mark.parametrize(
+        "strength",
+        [[[1j, -0.0, 0.0]], [[True, False, True]], np.array([["a", "b", "c"]], dtype=object)],
+        ids=["complex", "bool", "object"],
+    )
+    def test_table_strengths_must_be_integers_or_floats(self, strength):
+        # Anything else would write a text that read_trace refuses, or no real strength.
+        with pytest.raises(WrongShape, match="strengths must be integers or floats, got dtype"):
+            TraceTable(strength=np.array(strength), pattern_of=np.array([0, 0, 1, 2]))
+
+    @pytest.mark.parametrize(
         "query, args",
         [(pattern_strength, (0, 1)), (first_zero_step, (0,))],
         ids=["pattern_strength", "first_zero_step"],
     )
     def test_complex_table_queries_raise_wrong_shape(self, query, args):
-        # Such a table writes (its text is pinned above), but has no real strength to report.
-        with pytest.raises(WrongShape, match="strengths must be real numbers, got 1j"):
-            query(WRITER_CASES["complex"], *args)
+        # A complex table is refused where it is built, before any query can read it.
+        with pytest.raises(WrongShape, match="strengths must be integers or floats, got dtype"):
+            query(table([[1j, -0.0, 0.0]], [0, 0, 1, 2], dtype=np.complex128), *args)
 
 
 class Recorder:

@@ -10,7 +10,6 @@ import pytest
 
 from nestfire import (
     ChainSpec,
-    CountEvent,
     CounterSpec,
     CounterState,
     EnsembleSpec,
@@ -181,12 +180,11 @@ def test_trace_table_checks_its_map():
 # The value classes of ``counter`` and ``energy``.
 HOP = "HopSpec(distance=0.0, attenuation=0.0, threshold=2.0, impulse=1.0)"
 CHAIN_VALUES = {
-    "counter-spec": (lambda: CounterSpec(3), "CounterSpec(depth=3, label=None)"),
-    "count-event": (lambda: CountEvent(1, 2), "CountEvent(level=1, tick=2)"),
+    "counter-spec": (lambda: CounterSpec(3), "CounterSpec(depth=3)"),
     "counter-state": (
-        lambda: CounterState(Phase.CASCADING, 1, 1, (CountEvent(1, 1),)),
+        lambda: CounterState(Phase.CASCADING, 1, 1, range(1, 2)),
         "CounterState(phase=<Phase.CASCADING: 'cascading'>, level=1, tick=1,"
-        " emissions=(CountEvent(level=1, tick=1),))",
+        " counted=range(1, 2))",
     ),
     "hop": (lambda: HopSpec(0.0, 0.0, 2.0, 1.0), HOP),
     "chain": (lambda: ChainSpec([HopSpec(0.0, 0.0, 2.0, 1.0)]), f"ChainSpec(hops=({HOP},))"),
@@ -210,26 +208,20 @@ def test_chain_values_compare_and_hash_equal(make, text):
 
 
 def test_chain_values_differ_by_field():
-    assert CounterSpec(3) != CounterSpec(3, "c")
     assert CounterSpec(3) != CounterSpec(4)
-    assert CountEvent(1, 2) != CountEvent(2, 1)
     assert HopSpec(0.0, 0.0, 2.0, 1.0) != HopSpec(0.0, 0.0, 2.0, 2.0)
     assert WeightChain((5, 2)) != WeightChain((2, 5))
     assert Route(2.0) != Route(2.0, 1.0)
     assert RouteSet([Route(2.0)]) != RouteSet([Route(3.0)])
     # Not equal to a tuple of the same fields, nor to another class.
-    assert CountEvent(1, 2) != (1, 2)
-    assert CounterSpec(3) != (3, None)
-    assert CountEvent(1, 1) != CounterSpec(1)
+    assert CounterSpec(3) != (3,)
+    assert start(CounterSpec(1)) != CounterSpec(1)
 
 
 def test_chain_values_keyword_and_default_constructors():
-    assert CounterSpec(depth=3, label="c") == CounterSpec(3, "c")
-    assert CounterSpec(3, label="c").label == "c"
-    assert CounterSpec(depth=3).label is None
-    assert CountEvent(tick=2, level=1) == CountEvent(1, 2)
-    state = CounterState(phase=Phase.IDLE, level=None, tick=0, emissions=())
-    assert state == CounterState(Phase.IDLE, None, 0, ())
+    assert CounterSpec(depth=3) == CounterSpec(3)
+    state = CounterState(phase=Phase.IDLE, level=None, tick=0, counted=range(1, 1))
+    assert state == CounterState(Phase.IDLE, None, 0, range(1, 1))
     hop = HopSpec(impulse=1.0, threshold=2.0, attenuation=0.0, distance=0.0)
     assert hop == HopSpec(0.0, 0.0, 2.0, 1.0)
     assert ChainSpec(hops=[hop]) == ChainSpec((hop,))
@@ -246,9 +238,9 @@ def test_chain_values_keyword_and_default_constructors():
     "make",
     [
         lambda: CounterSpec(),
-        lambda: CounterSpec(1, None, 2),
+        lambda: CounterSpec(1, 2),
         lambda: CounterSpec(depth=1, size=2),
-        lambda: CountEvent(1, level=1),
+        lambda: CounterSpec(1, depth=1),
         lambda: Route(2.0, length=3.0),
         lambda: Route(),
         lambda: HopSpec(0.0, 0.0, 1.0),
@@ -325,7 +317,6 @@ def _chain_objects():
     group = GroupLayout([[0.0, 0.0], [1.0, 0.0]], 1)
     return {
         "counter-spec": (CounterSpec(3), "depth"),
-        "count-event": (CountEvent(1, 1), "tick"),
         "counter-state": (start(CounterSpec(2)), "phase"),
         "hop": (HopSpec(0.0, 0.0, 2.0, 1.0), "impulse"),
         "chain": (ChainSpec([HopSpec(0.0, 0.0, 2.0, 1.0)]), "hops"),
