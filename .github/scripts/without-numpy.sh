@@ -26,15 +26,22 @@ print(json.dumps({"ensemble": ensemble, "schedule": {"type": "staggered", "inter
                   "steps": 400, "mode": "free_run"}))
 EOF
 "$dir/nonumpy/bin/python" -m nestfire simulate --scenario "$dir/nonumpy-free.scenario" --out "$dir/nonumpy-free.csv"
-# Both traces read back, without numpy, to the same text.
+# Both traces read back, without numpy, to the same text, and the
+# per-pattern readers find where each pattern returns to zero.
 "$dir/nonumpy/bin/python" - "$dir/nonumpy-trace.csv" "$dir/nonumpy-free.csv" <<'EOF'
 import sys
-from nestfire import read_trace, write_trace
+from nestfire import first_zero_step, pattern_strength, read_trace, write_trace
 
+zeros = []
 for path in sys.argv[1:]:
     with open(path) as trace:
         text = trace.read()
-    assert write_trace(read_trace(text)) == text
+    table = read_trace(text)
+    assert write_trace(table) == text
+    zeros.append([first_zero_step(table, k) for k in range(table.num_patterns)])
+    for k, t in enumerate(zeros[-1]):
+        assert t is None or pattern_strength(table, k, t) == 0.0 < pattern_strength(table, k, t - 1)
+assert zeros[0] == [5, None, None, None, None]  # the shipped run: only the outermost falls
 assert "numpy" not in sys.modules
 EOF
 "$dir/nonumpy/bin/python" -m nestfire counter --depth 3

@@ -6,15 +6,14 @@ firing pattern to every pattern enclosing it. From those two rules it
 builds:
 
 * ``topology`` -- the nesting structure and its connectivity queries;
-* ``dynamics`` -- the discrete-time firing simulation, one strength per
-  pattern, with a golden-table extraction against the reference table;
+* ``dynamics`` -- the discrete-time firing simulation, one strength per pattern;
 * ``counter`` -- a timer/counter/battery over a nested chain, in closed form,
   its counts a ``range`` of levels;
 * ``energy`` -- signal attenuation, capacitor-style multi-hop firing
   arithmetic, the multiplicative centering cost, and the inward-vs-outward
   layout economics with stigmergic reinforcement;
 * ``scenario`` -- declarative scenario files and CSV trace writing;
-* ``readback`` -- reading traces back, and golden comparison;
+* ``readback`` -- reading traces back, per-pattern queries and golden comparison;
 * ``cli`` -- the ``nestfire`` command.
 
 Everything is pure-functional over immutable values; identical inputs give

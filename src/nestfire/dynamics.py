@@ -11,11 +11,8 @@ Every update is the same for all members of a pattern, so states and traces
 hold one strength per pattern, and a trace's neurons are ``(pattern, count)``
 blocks: nothing holds a value per neuron until a caller asks for one. The
 step kernel works on plain lists of one float per pattern. numpy is imported
-only where arrays are built: a table's ``strength``, ``pattern_of`` and
-``values`` on first read, ``golden_table``, and the ``SimState`` arrays of
-``initial_state`` and ``step``. So ``run`` followed by ``pattern_strength``,
-``first_zero_step``, ``scenario.write_trace`` or ``readback.compare_golden``
-never loads it.
+only for a table's arrays, on first read, and for ``SimState``. Queries on a
+trace live in ``readback``, which ``simulate`` never loads.
 
 Two firing modes exist:
 
@@ -44,7 +41,7 @@ from itertools import groupby
 from operator import add, sub
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .errors import OutOfRange, SpecMismatch, ValidationError, WrongShape
+from .errors import SpecMismatch, ValidationError, WrongShape
 # bench/tracing.py swaps ``members`` (not called here) and ``ancestors`` (see
 # ``_compile``) by name, so both stay bound; tests/test_traced_names.py pins them.
 from .topology import EnsembleSpec, Frozen, _whole, ancestors, check_rows, members, validate
@@ -61,9 +58,6 @@ __all__ = [
     "initial_state",
     "step",
     "run",
-    "pattern_strength",
-    "first_zero_step",
-    "golden_table",
     "with_drive",
 ]
 
@@ -219,46 +213,6 @@ def run(
     # Patterns occupy neighbouring blocks of neurons, in pattern order.
     blocks = [(k, p.size) for k, p in enumerate(spec.patterns)]
     return object.__new__(TraceTable)._hold(rows, (steps, spec.num_patterns), blocks)
-
-
-def pattern_strength(trace: TraceTable, pattern: int, t: int) -> float:
-    """The strength every member of ``pattern`` holds after step ``t`` (1-based)."""
-    t = _whole(t, "step", 1, trace.num_steps, OutOfRange)
-    pattern = _whole(pattern, "pattern", 0, trace.num_patterns - 1, OutOfRange)
-    return float(trace._rows[(t - 1) * trace.num_patterns + pattern])
-
-
-def first_zero_step(trace: TraceTable, pattern: int) -> int | None:
-    """Earliest step at which ``pattern`` returns to 0 after having been
-    positive; None if that never happens within the trace."""
-    pattern = _whole(pattern, "pattern", 0, trace.num_patterns - 1, OutOfRange)
-    was_positive = False
-    for t, value in enumerate(map(float, trace._rows[pattern :: trace.num_patterns]), 1):
-        if was_positive and value == 0.0:
-            return t
-        if value > 0.0:
-            was_positive = True
-    return None
-
-
-def golden_table(trace: TraceTable) -> np.ndarray:
-    """Extract the 25 x 3 grid (neurons 1..25 at t = 3, 4, 5) used for
-    golden comparison against the reference strength table."""
-    import numpy as np
-
-    return np.array(_golden_rows(trace))
-
-
-def _golden_rows(trace: TraceTable) -> list[list[float]]:
-    """The grid of :func:`golden_table` as one list of Python numbers per neuron."""
-    if trace.num_neurons != 25 or trace.num_steps < 5:
-        raise WrongShape(
-            f"need a 25-neuron trace of >= 5 steps, got {trace.num_neurons} neurons"
-            f" x {trace.num_steps} steps"
-        )
-    rows, num = trace._rows, trace.num_patterns
-    columns = [rows[t * num : (t + 1) * num] for t in (2, 3, 4)]
-    return [[column[p] for column in columns] for p, count in trace._blocks for _ in range(count)]
 
 
 def with_drive(state: SimState, drive: bool) -> SimState:

@@ -1,10 +1,10 @@
-"""Reading traces and fixtures back, and golden comparison.
+"""Reading traces and fixtures back: per-pattern queries and golden comparison.
 
 ``read_trace`` inverts ``scenario.write_trace`` in plain Python. It walks
 the text line by line and collapses each step to one strength per pattern
 as it goes, so memory holds the table and a few thousand rows' text, never
-a row per neuron. Golden comparison works on plain lists too; only the
-array-valued fixture functions import numpy. ``simulate`` loads none of
+a row per neuron. The queries and golden comparison work on plain lists
+too; only the array-valued grids import numpy. ``simulate`` loads none of
 this module, and its public names also resolve through ``scenario``.
 """
 
@@ -16,10 +16,10 @@ from array import array
 from struct import pack
 from typing import TYPE_CHECKING, NamedTuple
 
-from .dynamics import TraceTable, _golden_rows
-from .errors import ParseError, ValidationError, WrongShape
+from .dynamics import TraceTable
+from .errors import OutOfRange, ParseError, ValidationError, WrongShape
 from .scenario import TRACE_HEADER
-from .topology import _real, _shown, brief
+from .topology import _real, _shown, _whole, brief
 
 if TYPE_CHECKING:
     import numpy as np
@@ -27,6 +27,9 @@ if TYPE_CHECKING:
 __all__ = [
     "GoldenReport",
     "read_trace",
+    "pattern_strength",
+    "first_zero_step",
+    "golden_table",
     "compare_grids",
     "compare_golden",
     "read_golden_fixture",
@@ -127,6 +130,25 @@ def read_trace(text: str) -> TraceTable:
     return object.__new__(TraceTable)._hold(rows, (step, len(patterns)), blocks)
 
 
+def pattern_strength(trace: TraceTable, pattern: int, t: int) -> float:
+    """The strength every member of ``pattern`` holds after step ``t`` (1-based)."""
+    t = _whole(t, "step", 1, trace.num_steps, OutOfRange)
+    pattern = _whole(pattern, "pattern", 0, trace.num_patterns - 1, OutOfRange)
+    return float(trace._rows[(t - 1) * trace.num_patterns + pattern])
+
+
+def first_zero_step(trace: TraceTable, pattern: int) -> int | None:
+    """Earliest step at which ``pattern`` returns to 0 after being positive, else None."""
+    pattern = _whole(pattern, "pattern", 0, trace.num_patterns - 1, OutOfRange)
+    was_positive = False
+    for t, value in enumerate(map(float, trace._rows[pattern :: trace.num_patterns]), 1):
+        if was_positive and value == 0.0:
+            return t
+        if value > 0.0:
+            was_positive = True
+    return None
+
+
 def compare_grids(actual, expected, tolerance: float = GOLDEN_TOLERANCE) -> GoldenReport:
     """Element-wise comparison of two golden-layout grids (rows are neurons
     1.., columns are steps t=3,4,5), each an array or a sequence of rows.
@@ -154,6 +176,25 @@ def compare_golden(trace: TraceTable, fixture, tolerance: float = GOLDEN_TOLERAN
     """Compare a trace's golden grid (neurons 1..25 at t=3,4,5) against a
     25 x 3 fixture grid."""
     return compare_grids(_golden_rows(trace), fixture, tolerance)
+
+
+def golden_table(trace: TraceTable) -> np.ndarray:
+    """A trace's 25 x 3 grid (neurons 1..25 at t = 3, 4, 5) for golden comparison."""
+    import numpy as np
+
+    return np.array(_golden_rows(trace))
+
+
+def _golden_rows(trace: TraceTable) -> list[list[float]]:
+    """The grid of :func:`golden_table` as one list of Python numbers per neuron."""
+    if trace.num_neurons != 25 or trace.num_steps < 5:
+        raise WrongShape(
+            f"need a 25-neuron trace of >= 5 steps, got {trace.num_neurons} neurons"
+            f" x {trace.num_steps} steps"
+        )
+    rows, num = trace._rows, trace.num_patterns
+    columns = [rows[t * num : (t + 1) * num] for t in (2, 3, 4)]
+    return [[column[p] for column in columns] for p, count in trace._blocks for _ in range(count)]
 
 
 def read_golden_fixture(text: str) -> np.ndarray:

@@ -7,8 +7,9 @@ round-trip decimal numbers, which makes repeated runs byte-identical and
 the files human-checkable. A trace holds one strength per pattern; the CSV
 lists it once per member neuron. Writing to a stream holds one write's
 text, at most ``WRITE_ROWS`` rows, however many neurons the trace has.
-Reading a trace back and golden comparison live in ``readback``, which
-this module never imports; their names still resolve here, on first use.
+``readback`` holds reading a trace back, its per-pattern queries and golden
+comparison; their names resolve here too, importing it on first use. ``json``
+loads only when a document is parsed or written.
 
 Structural problems (bad JSON, wrong keys, wrong types) raise ParseError;
 documents that parse but violate a domain invariant raise ValidationError.
@@ -16,7 +17,6 @@ documents that parse but violate a domain invariant raise ValidationError.
 
 from __future__ import annotations
 
-import json
 import sys
 from typing import NamedTuple, TextIO
 
@@ -50,6 +50,8 @@ def parse_scenario(text: str) -> Scenario:
     Returns (ensemble, schedule, steps, mode). The ensemble passes
     topology validation; the schedule covers every pattern.
     """
+    import json  # here, not at the top: ``verify-table1`` parses no document
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -100,8 +102,7 @@ def parse_scenario(text: str) -> Scenario:
     # Refused before the ensemble is built, not only before it runs.
     check_rows("steps x depth x pattern_size", _whole(steps, "steps", 1), depth, pattern_size)
     spec = build_linear(depth, pattern_size, excitatory_unit, inhibitory_weight)
-    violations = validate(spec)
-    if violations:
+    if violations := validate(spec):
         raise ValidationError("; ".join(violations))
     if sched_type == "staggered":
         schedule = Schedule.staggered(spec.num_patterns, interval)
@@ -122,18 +123,22 @@ def write_scenario(scenario: Scenario) -> str:
     file schema; anything else raises ValidationError. A scenario that
     :func:`parse_scenario` would refuse raises what it raises.
     """
+    import json
+
     spec = scenario.ensemble
     sizes = {_whole(p.size, "pattern_size") for p in spec.patterns}
     parents = [p.parent for p in spec.patterns]
     linear = parents == [None] + list(range(spec.num_patterns - 1))
     if len(sizes) != 1 or not linear:
         raise ValidationError("only linear chains with uniform pattern size serialize")
+    if violations := validate(spec):  # so that a message names the value given, not a NaN
+        raise ValidationError("; ".join(violations))
     (size,) = sizes
     doc = {
         "ensemble": {
             "depth": spec.num_patterns,
             "pattern_size": size,
-            "excitatory_unit": _real(spec.excitatory_unit),  # NaN, and refused, if not real
+            "excitatory_unit": _real(spec.excitatory_unit),
             "inhibitory_weight": _real(spec.inhibitory_weight),
             "nesting": "linear",
         },
@@ -142,7 +147,7 @@ def write_scenario(scenario: Scenario) -> str:
         "mode": str(scenario.mode),
     }
     text = json.dumps(doc, indent=2) + "\n"
-    if parse_scenario(text) != scenario:  # ids other than 0..P-1, or a mode that only prints as one
+    if parse_scenario(text) != scenario:  # a real that is no float, or a mode that prints as one
         raise ValidationError("the scenario reads back as another one")
     return text
 

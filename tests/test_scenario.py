@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import tracemalloc
+from fractions import Fraction
 from importlib import resources
 
 import numpy as np
@@ -214,6 +215,21 @@ class TestParseScenario:
                     "schedule": Schedule((1,)),
                 },
                 ValidationError,
+                "pattern at position 0 has id 1",
+            ),
+            (
+                {"ensemble": EnsembleSpec(standard_scenario().ensemble.patterns, "1", 0.5)},
+                ValidationError,
+                "^excitatory_unit must be finite and > 0, got '1'$",
+            ),
+            (
+                {"ensemble": EnsembleSpec(standard_scenario().ensemble.patterns, 1.0, "0.5")},
+                ValidationError,
+                "^inhibitory_weight must be finite and >= 0, got '0.5'$",
+            ),
+            (
+                {"ensemble": build_linear(5, 5, Fraction(1, 3), 0.5)},
+                ValidationError,
                 "the scenario reads back as another one",
             ),
             (
@@ -231,7 +247,8 @@ class TestParseScenario:
         ],
         ids=[
             "zero-steps", "short-schedule", "nan-unit", "unknown-mode", "id-out-of-place",
-            "complex-weight", "object-mode", "list-size",
+            "string-unit", "string-weight", "fraction-unit", "complex-weight", "object-mode",
+            "list-size",
         ],
     )
     def test_write_refuses_what_parse_refuses(self, change, error, message):

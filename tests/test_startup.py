@@ -5,7 +5,8 @@ each other module only when a command calls into it. ``dynamics`` and
 ``readback`` import numpy only where they build arrays, so neither
 ``simulate`` nor ``verify-table1`` nor ``read_trace`` loads it; only
 ``layout`` does. ``simulate`` writes a trace and never loads ``readback``,
-the module that reads one back. No value
+the module that reads one back; ``json`` loads only to parse or write a
+scenario, so ``verify-table1`` never loads it. No value
 class is a dataclass, so the commands that load no numpy load no
 ``dataclasses`` or ``inspect`` either. ``cli`` parses its arguments from a
 table, so no command loads ``argparse`` or ``gettext``. Each check that a
@@ -108,6 +109,21 @@ def test_version_and_simulate_load_only_what_they_run(tmp_path, command, flags):
     result = child(RUN_MODULE, ",".join(watched), *args, flags=flags)
     assert result.stderr.splitlines()[-1] == "loaded=[] exit=0"
     assert result.stdout or command == "simulate-out"
+
+
+def test_import_scenario_loads_no_json():
+    result = child("import sys, nestfire.scenario; print('json' in sys.modules)")
+    assert result.stdout == "False\n", result.stderr
+
+
+@pytest.mark.parametrize(
+    "args, loaded",
+    [(["verify-table1"], []), (["simulate", "--scenario", str(SCENARIO)], ["json"])],
+    ids=["verify-table1", "simulate"],
+)
+def test_json_loads_only_to_parse_a_scenario(args, loaded):
+    result = child(RUN_MODULE, "json", *args)
+    assert result.stderr.splitlines()[-1] == f"loaded={loaded} exit=0"
 
 
 def test_layout_without_numpy_is_one_error_line():
