@@ -85,6 +85,23 @@ EOF
 # A counter of depth 1 000 000: its counts are a range of levels, printed
 # one line at a time, so they too fit in 100 MB of address space.
 (ulimit -v 100000 && "$dir/nonumpy/bin/python" -m nestfire counter --depth 1000000 > /dev/null)
+# Free runs with the drive off after step d: the cascade winds down
+# inward, and at half-weight inhibition no pattern fires from step
+# d + min(d, 5) on, when a row first equals the one before it.
+"$dir/nonumpy/bin/python" - <<'EOF'
+import sys
+from nestfire import MODE_FREE_RUN, Schedule, build_linear, pattern_strength, run
+
+for depth in (3, 8):
+    steps = 3 * depth
+    spec = build_linear(depth, 5, 1.0, 0.5)
+    trace = run(spec, Schedule.staggered(depth), steps, MODE_FREE_RUN, drive=depth)
+    rows = [[pattern_strength(trace, k, t) for k in range(depth)] for t in range(1, steps + 1)]
+    quiet = next(t for t in range(depth + 1, steps + 1) if rows[t - 1] == rows[t - 2])
+    assert quiet == depth + min(depth, 5), (depth, quiet)
+    assert all(row == rows[quiet - 1] for row in rows[quiet:])
+assert "numpy" not in sys.modules
+EOF
 # The README's quick start.
 "$dir/nonumpy/bin/python" - <<'EOF'
 import sys

@@ -6,10 +6,9 @@ firing neuron hands one excitatory unit to its whole pattern, and every
 firing pattern pushes half-weight inhibition onto all patterns enclosing
 it. Activation is staggered outermost-first, so the outer patterns build
 strength early and are then squeezed back to zero by the accumulating
-inhibition from inside: the activity wave travels inward.
+inhibition from inside: the activity wave travels inward. Last, the
+external drive is switched off and the inhibitors shut the area down.
 """
-
-import numpy as np
 
 from nestfire import (
     MODE_FREE_RUN,
@@ -49,7 +48,6 @@ print("\n= Free run past the table: starvation winds the cascade down =\n")
 free = run(ensemble, schedule, steps=12, mode=MODE_FREE_RUN)
 for t in range(5, 13):
     strengths = [pattern_strength(free, k, t) for k in range(5)]
-    firing = np.nonzero(np.array(strengths) > 0)[0]
     print(f"t={t:<3} strengths " + " ".join(f"{s:6.1f}" for s in strengths))
 
 print("""
@@ -57,3 +55,24 @@ Once the outermost pattern is inhibited to zero it stops firing, which
 removes the gate for its child on the next step, and so on inward. After
 the innermost level loses its feed the whole region is quiescent; the
 residual strengths simply stop changing.""")
+
+print("\n= Drive off after step 5: the inhibitors switch the area off =\n")
+# Quarter-weight inhibition: with the drive on, the outermost pattern
+# settles at 12.5 and the cascade never stops.
+light = build_linear(depth=5, size=5, excitatory_unit=1.0, inhibitory_weight=0.25)
+driven = run(light, schedule, steps=12, mode=MODE_FREE_RUN)
+off = run(light, schedule, steps=12, mode=MODE_FREE_RUN, drive=5)
+print("        drive on                            drive off after t=5")
+last = None
+for t in range(5, 13):
+    on, off_row = ([pattern_strength(trace, k, t) for k in range(5)] for trace in (driven, off))
+    cells = "   ".join(" ".join(f"{s:6.2f}" for s in row) for row in (on, off_row))
+    print(f"t={t:<3} {cells}" + ("   nothing fires" if off_row == last else ""))
+    last = off_row
+
+print("""
+Without the drive the root stops firing at t=6, and each level inside
+loses its gate one step after its parent, so the firing stops inward.
+Meanwhile the inner patterns still firing inhibit the outer ones, which
+no longer gain: the outermost falls to zero at t=9. From t=10 no pattern
+fires, and every strength stays where it is.""")

@@ -7,11 +7,11 @@ included), and every neuron whose pattern strictly encloses a firing pattern
 q loses ``inhibitory_weight * excitatory_unit * size(q)`` per such q.
 Strengths clamp at zero; they never go negative.
 
-Every update is the same for all members of a pattern, so states and traces
-hold one strength per pattern, and a trace's neurons are ``(pattern, count)``
-blocks: nothing holds a value per neuron until a caller asks for one. The
-step kernel works on plain lists of one float per pattern. numpy is imported
-only for a table's arrays, on first read, and for ``SimState``. Queries on a
+Every update is the same for all members of a pattern, so the step kernel
+and its traces hold one strength per pattern, and a trace's neurons are
+``(pattern, count)`` blocks: nothing holds a value per neuron until a caller
+asks for one. The kernel works on plain lists of one float per pattern.
+numpy is imported only for a table's arrays, on first read. Queries on a
 trace live in ``readback``, which ``simulate`` never loads.
 
 Two firing modes exist:
@@ -22,13 +22,14 @@ Two firing modes exist:
   activation steps 1..5).
 * ``free_run`` -- additionally gated: a pattern keeps firing only while its
   strength stays positive (or it has never fired) and its parent fired on
-  the previous step; root patterns instead require the external drive flag.
-  Once the outermost pattern is inhibited down to zero it stops firing,
-  which starves its children of the gate and the whole cascade winds down
-  inward, one level per step.
+  the previous step; root patterns instead require the external drive,
+  which ``run``'s ``drive`` keeps on through a given step (every step by
+  default). Once a root stops firing, inhibited down to zero or cut off
+  from the drive, its children lose the gate and the whole cascade winds
+  down inward, one level per step.
 
-All updates are pure functions over values: ``step`` and ``run`` never
-mutate their inputs, so independent runs can share specs freely.
+``run`` is a pure function over values: it never mutates its inputs, so
+independent runs can share specs freely.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from bisect import bisect_right
 from functools import cached_property
 from itertools import groupby
 from operator import add, sub
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import SpecMismatch, ValidationError, WrongShape
 # bench/tracing.py swaps ``members`` (not called here) and ``ancestors`` (see
@@ -53,12 +54,8 @@ __all__ = [
     "MODE_SCHEDULED",
     "MODE_FREE_RUN",
     "Schedule",
-    "SimState",
     "TraceTable",
-    "initial_state",
-    "step",
     "run",
-    "with_drive",
 ]
 
 MODE_SCHEDULED = "scheduled"
@@ -81,28 +78,6 @@ class Schedule(Frozen):
         """One new pattern per ``interval`` steps, outermost first: t_k = 1 + k*interval."""
         interval = _whole(interval, "interval", 1)
         return cls(tuple(1 + k * interval for k in range(_whole(num_patterns, "num_patterns", 0))))
-
-
-class SimState(NamedTuple):
-    """Snapshot after ``step`` simulation steps.
-
-    ``strength`` holds one accumulated signal per pattern, shared by all of
-    its members; ``active`` marks the patterns that fired on the step just
-    computed and ``ever_active`` those that have fired at least once.
-    ``drive`` is the external energy supply consulted by root patterns in
-    free-run mode.
-    """
-
-    step: int
-    strength: np.ndarray
-    active: np.ndarray
-    ever_active: np.ndarray
-    drive: bool = True
-
-    # Arrays have no single truth value: states are equal only to themselves.
-    __eq__ = object.__eq__
-    __ne__ = object.__ne__
-    __hash__ = object.__hash__
 
 
 class TraceTable(Frozen):
@@ -164,71 +139,36 @@ class TraceTable(Frozen):
         return values
 
 
-def initial_state(spec: EnsembleSpec) -> SimState:
-    """The all-zero state before any step has run."""
-    import numpy as np
-
-    flags = np.zeros(spec.num_patterns, dtype=bool)
-    return SimState(0, np.zeros(spec.num_patterns), flags, flags.copy())
-
-
-def step(
-    state: SimState,
-    spec: EnsembleSpec,
-    schedule: Schedule,
-    mode: str = MODE_SCHEDULED,
-) -> SimState:
-    """Advance the simulation by one step and return the new state."""
-    import numpy as np
-
-    # The kernel gets lists, not the state's arrays, which thus stay as they are.
-    firing = np.flatnonzero(state.active).tolist()
-    start = state.strength.tolist(), state.ever_active.tolist(), firing
-    t = _whole(state.step, "state step", 0) + 1
-    advance = _compile(spec, schedule, mode, t, start)
-    shape = (spec.num_patterns,)
-    if {state.strength.shape, state.active.shape, state.ever_active.shape} != {shape}:
-        raise SpecMismatch(f"state arrays need one entry for each of {spec.num_patterns} patterns")
-    strength, ever_active, firing = advance(t, state.drive)
-    active = np.zeros(spec.num_patterns, dtype=bool)
-    active[firing] = True
-    strength, ever_active = np.array(strength, dtype=float), np.array(ever_active, dtype=bool)
-    return SimState(t, strength, active, ever_active, state.drive)
-
-
 def run(
     spec: EnsembleSpec,
     schedule: Schedule,
     steps: int,
     mode: str = MODE_SCHEDULED,
+    drive: int | None = None,
 ) -> TraceTable:
     """Run ``steps`` steps from the all-zero state and collect the full trace.
-    A run of more than ``topology.MAX_ROWS`` steps x neurons is refused."""
+    In a free run the roots have the external drive through step ``drive``
+    and not after it; ``None`` keeps it on for every step. A scheduled run
+    ignores ``drive``. A run of more than ``topology.MAX_ROWS`` steps x
+    neurons is refused."""
     steps = _whole(steps, "steps", 1)
+    drive = steps if drive is None else _whole(drive, "drive", 0)
     advance = _compile(spec, schedule, mode, steps)
     check_rows("steps x neurons", steps, spec.num_neurons)
     rows = array("d")
     for t in range(1, steps + 1):
-        rows.fromlist(advance(t, True)[0])
+        rows.fromlist(advance(t, t <= drive))
     # Patterns occupy neighbouring blocks of neurons, in pattern order.
     blocks = [(k, p.size) for k, p in enumerate(spec.patterns)]
     return object.__new__(TraceTable)._hold(rows, (steps, spec.num_patterns), blocks)
 
 
-def with_drive(state: SimState, drive: bool) -> SimState:
-    """Copy of ``state`` with the external drive flag set; free-run root
-    patterns stop firing once the drive is removed."""
-    return state._replace(drive=drive)
-
-
 def _compile(
-    spec: EnsembleSpec, schedule: Schedule, mode: str, steps: int, start: tuple | None = None
-) -> Callable[[int, bool], tuple[list[float], list[bool], list[int]]]:
+    spec: EnsembleSpec, schedule: Schedule, mode: str, steps: int
+) -> Callable[[int, bool], list[float]]:
     """Check a run of ``steps`` steps, compile it once and return its step kernel.
     ``advance(t, drive)`` computes step ``t`` from the state the kernel keeps, all
-    zero at first or else ``start``'s ``(strength, ever_active, firing)`` lists, and
-    returns the new ``(strength, ever_active, firing)``. The next call changes that
-    ``ever_active`` list in place, so a caller copies whatever it keeps of it."""
+    zero at first, and returns the new strengths."""
     if mode not in (MODE_SCHEDULED, MODE_FREE_RUN):
         raise ValidationError(f"unknown mode {mode!r}")
     violations = validate(spec)
@@ -266,15 +206,14 @@ def _compile(
     # replace but which the benchmark's traced replay times as its topology layer.
     end: list[int | None] = [None] * num
     free_run = mode == MODE_FREE_RUN
-    # Kept between steps: strengths, ever-active flags, the last firing list,
-    # the firing list the (gain, inh) sums are for, those sums, and ``reach``,
-    # from which on no pattern has fired or been inhibited yet. ``step`` starts
-    # with nothing summed and, as its strengths may be anything, all in reach.
-    strength, ever_active, firing = start or ([0.0] * num, [False] * num, [])
-    kept = [strength, ever_active, firing, [], [0.0] * num, [0.0] * num, num if start else 0]
+    # Kept between steps: strengths, the last firing list, which the (gain,
+    # inh) sums are for, those sums, and ``reach``, from which on no pattern
+    # has fired or been inhibited yet. ``ever_active`` changes in place.
+    ever_active = [False] * num
+    kept = [[0.0] * num, [], [0.0] * num, [0.0] * num, 0]
 
-    def advance(t: int, drive: bool) -> tuple[list[float], list[bool], list[int]]:
-        strength, ever_active, last, summed, gain, inh, reach = kept
+    def advance(t: int, drive: bool) -> list[float]:
+        strength, last, gain, inh, reach = kept
         if free_run:
             # Only roots (with the drive on) and children of last step's
             # firing patterns pass the gate.
@@ -292,8 +231,8 @@ def _compile(
         # depend on the firing list alone, so when the list they were summed
         # for is a prefix of this one, they are extended by the newcomers
         # rather than summed anew.
-        new = firing[len(summed) :]
-        if firing[: len(summed)] != summed:
+        new = firing[len(last) :]
+        if firing[: len(last)] != last:
             gain, inh, new = [0.0] * num, [0.0] * num, firing
         for q in new:
             if end[q] is None:
@@ -310,7 +249,7 @@ def _compile(
         # and the update (s + 0.0) - 0.0 leaves their strength s = 0.0 as it is.
         head = map(sub, map(add, strength, gain), inh[:reach])
         strength = [v if v >= 0.0 else 0.0 for v in head] + strength[reach:]
-        kept[:] = strength, ever_active, firing, firing, gain, inh, reach
-        return strength, ever_active, firing
+        kept[:] = strength, firing, gain, inh, reach
+        return strength
 
     return advance

@@ -6,7 +6,8 @@ exploiting the symmetry that all members of one pattern share the same
 strength, a per-neuron trace formatter, a step-by-step walk up the parent
 links and the slice-product centering cost. ``reference_firing_run``
 recomputes every step from zero in the library's pinned order of float
-operations, so its strengths must match the engine's bit for bit. Expected
+operations, so its strengths must match the engine's bit for bit;
+``reference_firings`` names the patterns that fire at each step. Expected
 values frozen into the tests were computed with these functions.
 """
 
@@ -53,6 +54,7 @@ def reference_firing_run(
     activation: list[int],
     steps: int,
     mode: str,
+    drive: int | None = None,
 ) -> list[list[float]]:
     """Per-pattern strengths after each step of a run on a forest whose
     pattern k has ``sizes[k]`` neurons and encloses ``parents[k]``'s, in
@@ -60,12 +62,24 @@ def reference_firing_run(
 
     Pattern k may fire at step t iff t >= activation[k]. In ``free_run`` it
     must also hold a positive strength or never have fired, and its parent
-    must have fired at step t-1 (a root has the drive instead, always on).
+    must have fired at step t-1; a root has the drive instead, on through
+    step ``drive`` (every step if ``drive`` is None) and off after it.
     A firing pattern inhibits every pattern met walking up its parent links.
     Each target's inhibition is summed over the firing patterns in ascending
     order, starting from 0.0; the update is ``(s + exc) - inh``, clamped at
     zero, with ``exc`` 0.0 for a pattern that does not fire.
     """
+    pairs = _reference_steps(sizes, parents, unit, weight, activation, steps, mode, drive)
+    return [row for _, row in pairs]
+
+
+def reference_firings(*run_args) -> list[list[int]]:
+    """The patterns firing at each step of ``reference_firing_run(*run_args)``."""
+    return [firing for firing, _ in _reference_steps(*run_args)]
+
+
+def _reference_steps(sizes, parents, unit, weight, activation, steps, mode, drive=None):
+    """``(firing, strengths)`` after each step of a ``reference_firing_run``."""
     num = len(sizes)
     excitation = [unit * size for size in sizes]
     inhibition = [weight * unit * size for size in sizes]
@@ -79,7 +93,7 @@ def reference_firing_run(
             due = t >= activation[k]
             if mode == "free_run":
                 alive = strength[k] > 0 or not ever[k]
-                gate = True if parents[k] is None else fired[parents[k]]
+                gate = (drive is None or t <= drive) if parents[k] is None else fired[parents[k]]
                 due = due and alive and gate
             if due:
                 firing.append(k)
@@ -93,7 +107,7 @@ def reference_firing_run(
         strength = [max((s + e) - i, 0.0) for s, e, i in zip(strength, exc, inh)]
         fired = [k in firing for k in range(num)]
         ever = [e or f for e, f in zip(ever, fired)]
-        rows.append(list(strength))
+        rows.append((firing, list(strength)))
     return rows
 
 

@@ -11,6 +11,7 @@ from nestfire import (
     CounterSpec,
     CounterState,
     EnsembleSpec,
+    MODE_FREE_RUN,
     GroupLayout,
     HopSpec,
     InvalidDepth,
@@ -30,13 +31,11 @@ from nestfire import (
     compare_grids,
     first_zero_step,
     hops_from_weights,
-    initial_state,
     members,
     pattern_strength,
     random_mirrored_layout,
     required_output,
     run,
-    step,
     stigmergy_reinforce,
     tick,
 )
@@ -69,11 +68,7 @@ WHOLE = {
     "members-pattern": (lambda n: members(SPEC, n), UnknownPattern),
     "offset-pattern": (lambda n: SPEC.offset(n), UnknownPattern),
     "counter-depth": (lambda n: CounterSpec(n), InvalidDepth),
-    # The step number of a state passed in from outside.
-    "step-state_step": (
-        lambda n: step(initial_state(SPEC)._replace(step=n), SPEC, Schedule.staggered(3)),
-        ValidationError,
-    ),
+    # The tick number of a state passed in from outside.
     "tick-state_tick": (
         lambda n: tick(CounterState(Phase.CASCADING, 1, n, range(1, 2)), CounterSpec(3)),
         ValidationError,
@@ -132,3 +127,16 @@ def test_whole_floats_still_count():
     assert members(SPEC, 2.0) == [4, 5] and ancestors(with_parent(0.0), 1) == [0]
     assert CounterSpec(3.0).depth == 3 and type(CounterSpec(3.0).depth) is int
     assert run(SPEC, Schedule.staggered(3.0), 2.0).num_steps == 2
+    off = [run(SPEC, Schedule.staggered(3), 4, MODE_FREE_RUN, d).strength.tolist() for d in (2, 2.0)]
+    assert off[0] == off[1] != run(SPEC, Schedule.staggered(3), 4, MODE_FREE_RUN).strength.tolist()
+
+
+# ``None``, the default, keeps the drive on: every other junk value is refused.
+DRIVE_JUNK = {**{k: v for k, v in JUNK.items() if k != "none"}, "negative": -1}
+
+
+@pytest.mark.parametrize("junk", DRIVE_JUNK.values(), ids=DRIVE_JUNK.keys())
+def test_run_drive_refuses_junk(junk):
+    with pytest.raises(ValidationError, match="drive must be") as info:
+        run(SPEC, Schedule.staggered(3), 4, MODE_FREE_RUN, drive=junk)
+    assert type(info.value) is ValidationError

@@ -5,7 +5,6 @@ import os
 import tracemalloc
 from contextlib import redirect_stdout
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,10 +18,9 @@ from nestfire import (
     ValidationError,
     build_linear,
     cli,
-    initial_state,
     run_counter,
+    run,
     start,
-    step,
     tick,
     topology,
 )
@@ -171,17 +169,12 @@ def test_counter_contract(depth):
 )
 def test_count_ticks_match_free_run_first_activations(depth, size, unit, delta):
     """Level k counts at the step pattern k-1 first fires in a driven free run
-    of a staggered linear chain. Only the first activations are compared: the
-    wind-down after the drive is removed depends on the inhibitory weight."""
-    spec = build_linear(depth, size, unit, delta)
-    schedule = Schedule.staggered(depth)
-    state = initial_state(spec)
-    first_fire = [None] * depth
-    for _ in range(depth):
-        state = step(state, spec, schedule, MODE_FREE_RUN)
-        for k in np.flatnonzero(state.active):
-            if first_fire[k] is None:
-                first_fire[k] = state.step
+    of a staggered linear chain, the first step its strength is positive.
+    Only the first activations are compared: the wind-down after the drive
+    is removed depends on the inhibitory weight."""
+    spec, schedule = build_linear(depth, size, unit, delta), Schedule.staggered(depth)
+    columns = run(spec, schedule, depth, MODE_FREE_RUN).strength.T.tolist()
+    first_fire = [next((t for t, s in enumerate(col, 1) if s > 0), None) for col in columns]
     levels, _ = run_counter(CounterSpec(depth=depth))
     assert list(levels) == first_fire
     assert list(levels) == list(range(1, depth + 1))

@@ -1,4 +1,5 @@
-"""Firing simulation: single steps, full runs, trace queries, invariants.
+"""Firing simulation: the step rule, full runs, drive-off runs, trace
+queries, invariants and laws.
 
 Expected values tagged as derived were computed with the plain-Python
 reference loop in oracles.py and frozen here; the golden strength table
@@ -6,8 +7,10 @@ values come from the shipped fixture.
 """
 
 import itertools
+import math
 import tracemalloc
 from array import array
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -22,7 +25,6 @@ from nestfire import (
     OutOfRange,
     PatternSpec,
     Schedule,
-    SimState,
     SpecMismatch,
     ValidationError,
     WrongShape,
@@ -30,17 +32,20 @@ from nestfire import (
     build_linear,
     first_zero_step,
     golden_table,
-    initial_state,
     pattern_strength,
     read_trace,
     run,
-    step,
     table1_fixture,
     topology,
-    with_drive,
     write_trace,
 )
-from oracles import expand_to_neurons, reference_csv, reference_firing_run, reference_run
+from oracles import (
+    expand_to_neurons,
+    reference_csv,
+    reference_firing_run,
+    reference_firings,
+    reference_run,
+)
 
 STANDARD = build_linear(5, 5, 1.0, 0.5)
 STAGGERED = Schedule.staggered(5)
@@ -48,7 +53,7 @@ CYCLIC = EnsembleSpec((PatternSpec(0, 1, 1), PatternSpec(1, 0, 1)), 1.0, 0.5)
 DANGLING = EnsembleSpec((PatternSpec(0, None, 2), PatternSpec(1, 5, 2)), 1.0, 0.5)
 NEGATIVE_SIZE = EnsembleSpec((PatternSpec(0, None, 2), PatternSpec(1, 0, -1)), 1.0, 0.5)
 NAN_UNIT = build_linear(2, 2, float("nan"), 0.5)
-# Runs that run and step must both refuse, as (spec, schedule, steps, mode).
+# Runs that ``run`` must refuse, as (spec, schedule, steps, mode).
 INVALID_RUNS = {
     "dangling-parent": (DANGLING, Schedule.staggered(2), 3, MODE_FREE_RUN),
     "negative-size": (NEGATIVE_SIZE, Schedule.staggered(2), 3, MODE_SCHEDULED),
@@ -81,7 +86,8 @@ INVALID_RUNS = {
 
 
 def first_step(spec, schedule, steps, mode):
-    return step(initial_state(spec), spec, schedule, mode)
+    """One step with the drive off, in which a free run fires nothing."""
+    return run(spec, schedule, 1, mode, drive=0)
 
 
 INVALID_CALLS = {
@@ -93,7 +99,7 @@ INVALID_CALLS = {
     "activation-step-inf": lambda: Schedule([float("inf")]),
     "activation-step-text": lambda: Schedule(["x"]),
     "interval-fraction": lambda: Schedule.staggered(3, 1.5),
-    "mode": lambda: step(initial_state(STANDARD), STANDARD, STAGGERED, mode="warp"),
+    "mode": lambda: run(STANDARD, STAGGERED, 1, mode="warp"),
     "steps": lambda: run(STANDARD, STAGGERED, 0),
     "steps-beyond-float": lambda: run(STANDARD, STAGGERED, 10**400),
     **{f"run-{name}": partial(run, *case) for name, case in INVALID_RUNS.items()},
@@ -101,66 +107,36 @@ INVALID_CALLS = {
 }
 
 
-def run_steps(spec, schedule, steps, mode=MODE_SCHEDULED):
-    """Step-by-step driver returning the state after every step."""
-    state = initial_state(spec)
-    history = []
-    for _ in range(steps):
-        state = step(state, spec, schedule, mode)
-        history.append(state)
-    return history
-
-
 class TestStep:
+    """One step's update rule, read from ``run``'s trace."""
+
     def test_standard_chain_after_three_steps(self):
-        state = run_steps(STANDARD, STAGGERED, 3)[-1]
-        assert state.strength.tolist() == [7.5, 7.5, 5.0, 0.0, 0.0]
+        trace = run(STANDARD, STAGGERED, 3)
+        assert trace.strength[-1].tolist() == [7.5, 7.5, 5.0, 0.0, 0.0]
 
     def test_zero_inhibition_accumulates_linearly(self):
         spec = build_linear(5, 5, 1.0, 0.0)
-        state = run_steps(spec, STAGGERED, 3)[-1]
-        assert state.strength.tolist()[:3] == [15.0, 10.0, 5.0]
+        trace = run(spec, STAGGERED, 3)
+        assert trace.strength[-1].tolist()[:3] == [15.0, 10.0, 5.0]
 
     def test_small_chain_matches_reference_loop(self):
         # Derived with oracles.reference_run(3, 2, 1.0, 0.5, [1,2,3], 3)
         spec = build_linear(3, 2, 1.0, 0.5)
-        state = run_steps(spec, Schedule.staggered(3), 3)[-1]
-        assert state.strength.tolist() == [3.0, 3.0, 2.0]
+        trace = run(spec, Schedule.staggered(3), 3)
+        assert trace.strength[-1].tolist() == [3.0, 3.0, 2.0]
 
     def test_dimension_mismatch_rejected(self):
-        other = build_linear(3, 2, 1.0, 0.5)
         with pytest.raises(SpecMismatch):
-            step(initial_state(other), STANDARD, STAGGERED)
-        with pytest.raises(SpecMismatch):
-            step(initial_state(STANDARD), STANDARD, Schedule.staggered(3))
+            run(STANDARD, Schedule.staggered(3), 1)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            step(initial_state(STANDARD), STANDARD, STAGGERED, mode="warp")
+            run(STANDARD, STAGGERED, 1, mode="warp")
 
     @pytest.mark.parametrize("call", INVALID_CALLS.values(), ids=INVALID_CALLS.keys())
     def test_invalid_arguments_raise_nestfire_error(self, call):
         with pytest.raises(ValidationError):
             call()
-
-    def test_every_pattern_is_updated(self):
-        # Even a pattern that neither fires nor is inhibited gets (s + 0.0) - 0.0,
-        # clamped at zero; a state built by hand may hold any strength.
-        state = SimState(
-            step=9,
-            strength=np.array([-1.0, -0.0, 2.0]),
-            active=np.zeros(3, dtype=bool),
-            ever_active=np.ones(3, dtype=bool),
-        )
-        new = step(state, build_linear(3, 1, 1.0, 0.5), Schedule((20, 20, 20)))
-        assert new.strength.tobytes() == np.array([0.0, 0.0, 2.0]).tobytes()
-
-    def test_inputs_not_mutated(self):
-        state = initial_state(STANDARD)
-        before = state.strength.copy()
-        step(state, STANDARD, STAGGERED)
-        assert np.array_equal(state.strength, before)
-        assert state.step == 0
 
 
 class TestRun:
@@ -321,7 +297,7 @@ class TestInvariants:
     def test_innermost_receives_no_inhibition(self):
         # Innermost fires from t=5 on; any inhibition would pull it below
         # its own accumulated excitation of 5 per step.
-        innermost = [state.strength[4] for state in run_steps(STANDARD, STAGGERED, 10)]
+        innermost = run(STANDARD, STAGGERED, 10).strength[:, 4].tolist()
         assert innermost == [5.0 * max(0, t - 4) for t in range(1, 11)]
 
     def test_non_negativity(self):
@@ -352,43 +328,96 @@ class TestFreeRun:
     def test_starvation_winds_down_inward(self):
         # Outermost dies at t=5 and stops firing; each deeper level loses its
         # parent gate one step later, so firing ceases entirely by t=10.
-        history = run_steps(STANDARD, STAGGERED, 12, MODE_FREE_RUN)
-        firing_sets = [tuple(np.nonzero(state.active)[0]) for state in history]
-        assert firing_sets[4] == (0, 1, 2, 3, 4)  # t=5: all firing
-        assert firing_sets[5] == (1, 2, 3, 4)     # t=6: root starved out
-        assert firing_sets[6] == (2, 3, 4)
-        assert firing_sets[7] == (3, 4)
-        assert firing_sets[8] == (4,)
-        assert firing_sets[9] == ()
-        assert firing_sets[10] == ()
+        case = ([5] * 5, [None, 0, 1, 2, 3], 1.0, 0.5, [1, 2, 3, 4, 5], 12, MODE_FREE_RUN)
+        firing_sets = run_against_oracle(case)
+        assert firing_sets[4] == [0, 1, 2, 3, 4]  # t=5: all firing
+        assert firing_sets[5] == [1, 2, 3, 4]     # t=6: root starved out
+        assert firing_sets[6] == [2, 3, 4]
+        assert firing_sets[7] == [3, 4]
+        assert firing_sets[8] == [4]
+        assert firing_sets[9] == []
+        assert firing_sets[10] == []
 
     def test_quiescent_state_is_stable(self):
-        history = run_steps(STANDARD, STAGGERED, 15, MODE_FREE_RUN)
-        final = history[-1].strength
-        assert np.array_equal(history[10].strength, final)
+        strength = run(STANDARD, STAGGERED, 15, MODE_FREE_RUN).strength
+        assert (strength[10:] == strength[-1]).all()
 
     def test_without_drive_nothing_starts(self):
-        state = with_drive(initial_state(STANDARD), False)
-        state = step(state, STANDARD, STAGGERED, MODE_FREE_RUN)
-        assert not state.active.any()
-        assert not state.strength.any()
+        trace = run(STANDARD, STAGGERED, 5, MODE_FREE_RUN, drive=0)
+        assert not trace.strength.any()
+
+    def test_drive_defaults_to_every_step_and_scheduled_runs_ignore_it(self):
+        free = run(STANDARD, STAGGERED, 12, MODE_FREE_RUN).strength.tobytes()
+        for drive in (12, 13, 10**400):
+            assert run(STANDARD, STAGGERED, 12, MODE_FREE_RUN, drive).strength.tobytes() == free
+        scheduled = run(STANDARD, STAGGERED, 12).strength.tobytes()
+        assert run(STANDARD, STAGGERED, 12, MODE_SCHEDULED, drive=0).strength.tobytes() == scheduled
 
     def test_child_waits_for_parent_gate(self):
         # Child scheduled before its parent ever fires: the gate delays it.
+        # A pattern first fires at the first step its strength is positive.
         spec = build_linear(2, 2, 1.0, 0.5)
         schedule = Schedule((3, 1))
-        history = run_steps(spec, schedule, 4, MODE_FREE_RUN)
-        firing_sets = [tuple(np.nonzero(state.active)[0]) for state in history]
-        assert firing_sets[0] == ()       # t=1: child gated, parent not due
-        assert firing_sets[1] == ()       # t=2
-        assert firing_sets[2] == (0,)     # t=3: parent starts
-        assert firing_sets[3] == (0, 1)   # t=4: gate open, child joins
+        trace = run(spec, schedule, 4, MODE_FREE_RUN)
+        assert trace.strength.tolist() == [
+            [0.0, 0.0],  # t=1: child gated, parent not due
+            [0.0, 0.0],  # t=2
+            [2.0, 0.0],  # t=3: parent starts
+            [3.0, 2.0],  # t=4: gate open, child joins
+        ]
+
+    @pytest.mark.parametrize("delta, c", [(0.0, math.inf), (0.25, 9), (0.5, 5), (1.0, 3)])
+    @pytest.mark.parametrize("depth", range(1, 13))
+    def test_wind_down_after_the_drive_goes_off(self, depth, delta, c):
+        assert first_quiet_step(depth, 5, 1.0, delta) == depth + min(depth, c)
+
+    @given(
+        depth=st.integers(1, 30),
+        size=st.integers(1, 5),
+        unit=st.sampled_from([0.25, 0.5, 1.0, 3.0]),
+        sixteenths=st.integers(0, 80),
+    )
+    def test_wind_down_closed_form_with_exact_sums(self, depth, size, unit, sixteenths):
+        # With a dyadic weight and unit every sum is exact, and c is
+        # ceil(1 + 2/delta). A weight such as 0.1 rounds at that boundary:
+        # depth 22, size 3 and unit 1.0 give c = 22 where 21 is due.
+        delta = sixteenths / 16
+        c = math.inf if delta == 0 else math.ceil(1 + 2 / Fraction(delta))
+        assert first_quiet_step(depth, size, unit, delta) == depth + min(depth, c)
+
+
+def first_quiet_step(depth, size, unit, delta):
+    """The first step after ``depth`` on which nothing fires, in a staggered
+    free run of ``build_linear(depth, size, unit, delta)`` whose drive is on
+    through step ``depth``: with a positive unit, the first step whose row
+    equals the row before it. Every later row must stay the same.
+
+    Driven, pattern k-1 first fires at step k, as the counter counts. After
+    the drive goes off, nothing fires first at step 2d for delta 0, else
+    at d + min(d, c) for a c set by delta."""
+    steps = 2 * depth + 3
+    spec, schedule = build_linear(depth, size, unit, delta), Schedule.staggered(depth)
+    # rows[t - 1] is step t.
+    rows = run(spec, schedule, steps, MODE_FREE_RUN, drive=depth).strength.tolist()
+    quiet = next(t for t in range(depth + 1, steps + 1) if rows[t - 1] == rows[t - 2])
+    assert all(row == rows[quiet - 1] for row in rows[quiet:])
+    return quiet
 
 
 def forest(sizes, parents, unit, weight):
     """An ensemble whose pattern k has ``sizes[k]`` neurons and parent ``parents[k]``."""
     patterns = (PatternSpec(k, up, size) for k, (size, up) in enumerate(zip(sizes, parents)))
     return EnsembleSpec(tuple(patterns), unit, weight)
+
+
+def run_against_oracle(case, drive=None):
+    """Check ``run``'s strengths for ``case``, a ``forest_runs()`` draw, against
+    the oracle's bit for bit, and return the oracle's firing lists."""
+    sizes, parents, unit, weight, activation, steps, mode = case
+    trace = run(forest(sizes, parents, unit, weight), Schedule(activation), steps, mode, drive)
+    rows = reference_firing_run(*case, drive)
+    assert trace.strength.tobytes() == array("d", itertools.chain(*rows)).tobytes()
+    return reference_firings(*case, drive)
 
 
 @st.composite
@@ -460,18 +489,14 @@ class TestKernelMatchesOracle:
         values = [[row[k] for k in pattern_of] for row in rows]
         assert write_trace(trace) == reference_csv(values, pattern_of)
 
-    @given(forest_runs())
-    def test_stepping_matches_run(self, case):
-        sizes, parents, unit, weight, activation, steps, mode = case
-        spec, schedule = forest(sizes, parents, unit, weight), Schedule(activation)
-        stepped = [state.strength for state in run_steps(spec, schedule, steps, mode)]
-        assert np.stack(stepped).tobytes() == run(spec, schedule, steps, mode).strength.tobytes()
+    @given(forest_runs(), st.data())
+    def test_drive_off_run_matches_oracle_bit_for_bit(self, case, data):
+        steps = case[5]
+        run_against_oracle(case, data.draw(st.integers(0, steps + 2), label="drive"))
 
     @pytest.mark.parametrize("case", NOT_PREFIX_RUNS, ids=["fill-in", "shutdown", "forest-shutdown"])
     def test_examples_leave_the_prefix_path(self, case):
-        sizes, parents, unit, weight, activation, steps, mode = case
-        spec, schedule = forest(sizes, parents, unit, weight), Schedule(activation)
-        lists = [np.flatnonzero(s.active).tolist() for s in run_steps(spec, schedule, steps, mode)]
+        lists = run_against_oracle(case)
         assert any(now[: len(last)] != last for last, now in zip(lists, lists[1:]))
 
 

@@ -32,7 +32,6 @@ PUBLIC_NAMES = [
     "RouteSet",
     "Scenario",
     "Schedule",
-    "SimState",
     "SpecMismatch",
     "TraceTable",
     "UnknownPattern",
@@ -52,7 +51,6 @@ PUBLIC_NAMES = [
     "first_zero_step",
     "golden_table",
     "hops_from_weights",
-    "initial_state",
     "layout_distances",
     "members",
     "most_reinforced",
@@ -66,12 +64,10 @@ PUBLIC_NAMES = [
     "run_counter",
     "standard_scenario",
     "start",
-    "step",
     "stigmergy_reinforce",
     "table1_fixture",
     "tick",
     "validate",
-    "with_drive",
     "write_scenario",
     "write_trace",
 ]

@@ -194,6 +194,9 @@ def test_import_and_numpy_free_names_load_no_numpy():
 def test_unknown_names_are_missing():
     assert not hasattr(nestfire, "no_such_name")
     assert not hasattr(nestfire, "_no_such_name")
+    # The old one-step driver and its state type are gone; ``run`` takes the drive.
+    for name in ("SimState", "initial_state", "step", "with_drive"):
+        assert not hasattr(nestfire, name) and name not in nestfire.__all__
     with pytest.raises(AttributeError, match="no_such_name"):
         nestfire.no_such_name
 

@@ -1,4 +1,4 @@
-"""Public value semantics of the spec, schedule, state, trace and report
+"""Public value semantics of the spec, schedule, trace and report
 classes, and of the counter and energy value classes: repr text, equality
 and hash, rejected assignment, keyword construction, coercion of fields, and
 validation on construction."""
@@ -22,17 +22,14 @@ from nestfire import (
     Route,
     RouteSet,
     Schedule,
-    SimState,
     TraceTable,
     ValidationError,
     WeightChain,
     WrongShape,
     build_linear,
-    initial_state,
     run,
     start,
     stigmergy_reinforce,
-    with_drive,
 )
 
 # Each makes a fresh instance; two calls give equal, distinct values.
@@ -119,7 +116,6 @@ def _objects():
         "ensemble": (spec, "patterns"),
         "schedule": (Schedule((1, 2)), "activation_step"),
         "trace": (run(spec, Schedule((1, 2)), 2), "strength"),
-        "state": (initial_state(spec), "drive"),
         "report": (GoldenReport(0.0, (), True), "passed"),
     }
 
@@ -135,11 +131,7 @@ def test_assignment_is_rejected(kind):
         obj.no_such_field = 1
 
 
-def test_states_and_traces_are_equal_only_to_themselves():
-    spec = build_linear(1, 1, 1.0, 0.5)
-    state, twin = initial_state(spec), initial_state(spec)
-    assert state == state and state != twin
-    assert hash(state) == object.__hash__(state)
+def test_traces_are_equal_only_to_themselves():
     table = TraceTable(np.zeros((1, 1)), np.array([0]))
     twin_table = TraceTable(np.zeros((1, 1)), np.array([0]))
     assert table == table and table != twin_table
@@ -147,29 +139,13 @@ def test_states_and_traces_are_equal_only_to_themselves():
     assert len({table, twin_table}) == 2
 
 
-def test_state_and_trace_reprs():
-    state = initial_state(build_linear(1, 1, 1.0, 0.5))
-    assert repr(state) == (
-        "SimState(step=0, strength=array([0.]), active=array([False]),"
-        " ever_active=array([False]), drive=True)"
-    )
+def test_trace_reprs():
     # The neuron-to-pattern map is left out.
     assert repr(TraceTable(np.zeros((1, 2)), np.array([0, 1, 1]))) == (
         "TraceTable(strength=array([[0., 0.]]))"
     )
     trace = run(build_linear(2, 1, 1.0, 0.5), Schedule((1, 2)), 1)
     assert repr(trace) == "TraceTable(strength=array([[1., 0.]]))"
-
-
-def test_with_drive_copies_every_other_field():
-    state = initial_state(build_linear(2, 1, 1.0, 0.5))
-    off = with_drive(state, False)
-    assert type(off) is SimState and off is not state
-    assert (off.drive, state.drive) == (False, True)
-    assert off.step == state.step
-    assert off.strength is state.strength
-    assert off.active is state.active and off.ever_active is state.ever_active
-    assert SimState(1, state.strength, state.active, state.ever_active).drive is True
 
 
 def test_trace_table_checks_its_map():
