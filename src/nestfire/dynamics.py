@@ -26,7 +26,8 @@ Two firing modes exist:
   which ``run``'s ``drive`` keeps on through a given step (every step by
   default). Once a root stops firing, inhibited down to zero or cut off
   from the drive, its children lose the gate and the whole cascade winds
-  down inward, one level per step.
+  down inward, one level per step. The gate tests ``strength > 0`` on
+  rounded sums, so a residue exact arithmetic would make 0 keeps it open.
 
 ``run`` is a pure function over values: it never mutates its inputs, so
 independent runs can share specs freely.
@@ -40,11 +41,11 @@ from bisect import bisect_right
 from functools import cached_property
 from itertools import groupby
 from operator import add, sub
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import SpecMismatch, ValidationError, WrongShape
 # bench/tracing.py swaps ``members`` (not called here) and ``ancestors`` (see
-# ``_compile``) by name, so both stay bound; tests/test_traced_names.py pins them.
+# ``run``) by name, so both stay bound; tests/test_traced_names.py pins them.
 from .topology import EnsembleSpec, Frozen, _whole, ancestors, check_rows, members, validate
 
 if TYPE_CHECKING:
@@ -153,22 +154,6 @@ def run(
     neurons is refused."""
     steps = _whole(steps, "steps", 1)
     drive = steps if drive is None else _whole(drive, "drive", 0)
-    advance = _compile(spec, schedule, mode, steps)
-    check_rows("steps x neurons", steps, spec.num_neurons)
-    rows = array("d")
-    for t in range(1, steps + 1):
-        rows.fromlist(advance(t, t <= drive))
-    # Patterns occupy neighbouring blocks of neurons, in pattern order.
-    blocks = [(k, p.size) for k, p in enumerate(spec.patterns)]
-    return object.__new__(TraceTable)._hold(rows, (steps, spec.num_patterns), blocks)
-
-
-def _compile(
-    spec: EnsembleSpec, schedule: Schedule, mode: str, steps: int
-) -> Callable[[int, bool], list[float]]:
-    """Check a run of ``steps`` steps, compile it once and return its step kernel.
-    ``advance(t, drive)`` computes step ``t`` from the state the kernel keeps, all
-    zero at first, and returns the new strengths."""
     if mode not in (MODE_SCHEDULED, MODE_FREE_RUN):
         raise ValidationError(f"unknown mode {mode!r}")
     violations = validate(spec)
@@ -188,6 +173,7 @@ def _compile(
         bound = math.inf
     if not math.isfinite(bound):
         raise ValidationError(f"excitatory_unit {unit} and inhibitory_weight {weight} overflow")
+    check_rows("steps x neurons", steps, spec.num_neurons)
     num = spec.num_patterns
     parent = [p.parent for p in spec.patterns]
     roots, children = [], [[] for _ in range(num)]
@@ -206,18 +192,17 @@ def _compile(
     # replace but which the benchmark's traced replay times as its topology layer.
     end: list[int | None] = [None] * num
     free_run = mode == MODE_FREE_RUN
-    # Kept between steps: strengths, the last firing list, which the (gain,
-    # inh) sums are for, those sums, and ``reach``, from which on no pattern
-    # has fired or been inhibited yet. ``ever_active`` changes in place.
+    # Carried from step to step: strengths, the last firing list, which the
+    # (gain, inh) sums are for, those sums, ``reach``, from which on no pattern
+    # has fired or been inhibited yet, and ``ever_active``.
+    strength, last, gain, inh, reach = [0.0] * num, [], [0.0] * num, [0.0] * num, 0
     ever_active = [False] * num
-    kept = [[0.0] * num, [], [0.0] * num, [0.0] * num, 0]
-
-    def advance(t: int, drive: bool) -> list[float]:
-        strength, last, gain, inh, reach = kept
+    rows = array("d")
+    for t in range(1, steps + 1):
         if free_run:
             # Only roots (with the drive on) and children of last step's
             # firing patterns pass the gate.
-            gated = (roots if drive else []) + [c for q in last for c in children[q]]
+            gated = (roots if t <= drive else []) + [c for q in last for c in children[q]]
             firing = [
                 k
                 for k in sorted(gated)
@@ -249,7 +234,8 @@ def _compile(
         # and the update (s + 0.0) - 0.0 leaves their strength s = 0.0 as it is.
         head = map(sub, map(add, strength, gain), inh[:reach])
         strength = [v if v >= 0.0 else 0.0 for v in head] + strength[reach:]
-        kept[:] = strength, firing, gain, inh, reach
-        return strength
-
-    return advance
+        last = firing
+        rows.fromlist(strength)
+    # Patterns occupy neighbouring blocks of neurons, in pattern order.
+    blocks = [(k, p.size) for k, p in enumerate(spec.patterns)]
+    return object.__new__(TraceTable)._hold(rows, (steps, num), blocks)

@@ -29,7 +29,7 @@ class UnknownPattern(NestfireError, LookupError):
 
 
 class SpecMismatch(NestfireError, ValueError):
-    """Simulation state dimensions disagree with the ensemble spec."""
+    """A schedule's length differs from the ensemble's pattern count."""
 
 
 class OutOfRange(NestfireError, IndexError):

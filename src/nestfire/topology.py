@@ -101,8 +101,8 @@ class EnsembleSpec(Frozen):
     of that unit carried by each inhibitory signal.
 
     Construction does not reject invalid structures; run :func:`validate`
-    to collect violations. ``run`` and ``step`` refuse any spec that
-    ``validate`` faults. Instances are immutable and safe to share.
+    to collect violations. ``run`` refuses any spec that ``validate``
+    faults. Instances are immutable and safe to share.
     """
 
     _fields = ("patterns", "excitatory_unit", "inhibitory_weight")

@@ -53,6 +53,8 @@ CYCLIC = EnsembleSpec((PatternSpec(0, 1, 1), PatternSpec(1, 0, 1)), 1.0, 0.5)
 DANGLING = EnsembleSpec((PatternSpec(0, None, 2), PatternSpec(1, 5, 2)), 1.0, 0.5)
 NEGATIVE_SIZE = EnsembleSpec((PatternSpec(0, None, 2), PatternSpec(1, 0, -1)), 1.0, 0.5)
 NAN_UNIT = build_linear(2, 2, float("nan"), 0.5)
+NEGATIVE_WEIGHT = build_linear(5, 5, 1.0, -0.5)
+HUGE_UNIT = build_linear(5, 5, 1e308, 0.5)
 # Runs that ``run`` must refuse, as (spec, schedule, steps, mode).
 INVALID_RUNS = {
     "dangling-parent": (DANGLING, Schedule.staggered(2), 3, MODE_FREE_RUN),
@@ -82,6 +84,24 @@ INVALID_RUNS = {
     },
     "unit-text": (build_linear(2, 2, "1", 0.5), Schedule.staggered(2), 1, MODE_SCHEDULED),
     "weight-complex": (build_linear(2, 2, 1.0, 0.5j), Schedule.staggered(2), 1, MODE_SCHEDULED),
+}
+
+
+# Calls with two faults each, as (run's arguments, error, message): ``run``
+# checks steps, drive, mode, the spec, the schedule's length, the overflow
+# bound and the row budget in that order, and reports the earlier fault.
+REFUSAL_ORDER = {
+    "steps-then-mode": ((STANDARD, STAGGERED, 0, "warp"), ValidationError, "steps must be >= 1"),
+    "drive-then-mode": ((STANDARD, STAGGERED, 1, "warp", -1), ValidationError, "drive must be >= 0"),
+    "mode-then-spec": ((NEGATIVE_WEIGHT, STAGGERED, 1, "warp"), ValidationError, "unknown mode"),
+    "spec-then-schedule": (
+        (NEGATIVE_WEIGHT, Schedule.staggered(3), 1),
+        ValidationError,
+        "inhibitory_weight must be finite",
+    ),
+    "schedule-then-overflow": ((HUGE_UNIT, Schedule.staggered(3), 1), SpecMismatch, "schedule covers"),
+    "overflow-then-budget": ((HUGE_UNIT, STAGGERED, 10**7), ValidationError, "overflow"),
+    "spec-then-budget": ((NEGATIVE_WEIGHT, STAGGERED, 10**7), ValidationError, "inhibitory_weight"),
 }
 
 
@@ -163,6 +183,11 @@ class TestRun:
     def test_steps_below_one_rejected(self):
         with pytest.raises(ValueError):
             run(STANDARD, STAGGERED, 0)
+
+    @pytest.mark.parametrize("args, error, message", REFUSAL_ORDER.values(), ids=REFUSAL_ORDER.keys())
+    def test_the_earlier_check_refuses_first(self, args, error, message):
+        with pytest.raises(error, match=message):
+            run(*args)
 
     def test_run_over_the_row_budget_is_refused_before_allocating(self):
         # One pattern of 10**12 neurons: validate and the overflow bound accept it.
@@ -384,6 +409,16 @@ class TestFreeRun:
         delta = sixteenths / 16
         c = math.inf if delta == 0 else math.ceil(1 + 2 / Fraction(delta))
         assert first_quiet_step(depth, size, unit, delta) == depth + min(depth, c)
+
+    def test_rounding_residue_keeps_the_gate_open(self):
+        # The gate tests strength > 0 on rounded sums. At weight 0.1 pattern 0
+        # holds 2.66e-15 at step 21 where exact sums give 0, so the cascade
+        # first repeats a row at step 44, one after the closed form's 22 + 21.
+        assert math.ceil(1 + 2 / Fraction(1, 10)) == 21
+        assert first_quiet_step(22, 3, 1.0, 0.1) == 44
+        spec, schedule = build_linear(22, 3, 1.0, 0.1), Schedule.staggered(22)
+        strength = run(spec, schedule, 47, MODE_FREE_RUN, drive=22).strength
+        assert strength[20, 0] == strength[21, 1] == 2.6645352591003757e-15
 
 
 def first_quiet_step(depth, size, unit, delta):
