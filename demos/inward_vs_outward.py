@@ -10,7 +10,8 @@ pheromone reinforcement, so the inward-facing arrangement is the one that
 self-organisation keeps.
 """
 
-import numpy as np
+import random
+import statistics
 
 from nestfire import (
     GroupLayout,
@@ -24,10 +25,8 @@ from nestfire import (
 )
 
 print("= A clean collinear pair =\n")
-left = GroupLayout(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), terminal=0)
-right = GroupLayout(
-    np.array([[3.0, 0.0], [5.0, 0.0], [4.0, 1.0], [4.0, -1.0]]), terminal=0
-)
+left = GroupLayout(((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)), terminal=0)
+right = GroupLayout(((3.0, 0.0), (5.0, 0.0), (4.0, 1.0), (4.0, -1.0)), terminal=0)
 layout = LayoutSpec(left, right)
 inward, outward = layout_distances(layout)
 print(f"unit-radius groups, centers {layout.separation:.0f} apart")
@@ -35,22 +34,22 @@ print(f"terminals facing each other: link length {inward:.0f}")
 print(f"terminals mirrored outward:  link length {outward:.0f}")
 
 print("\n= 200 random mirrored layouts =\n")
-rng = np.random.default_rng(12345)
+rng = random.Random(12345)
 wins = 0
 gaps = []
 for _ in range(200):
-    radius = float(rng.uniform(0.5, 3.0))
+    radius = rng.uniform(0.5, 3.0)
     spec = random_mirrored_layout(
         rng,
-        num_nodes=int(rng.integers(2, 16)),
+        num_nodes=rng.randrange(2, 16),
         radius=radius,
-        separation=float(rng.uniform(2.2 * radius, 10.0 * radius)),
+        separation=rng.uniform(2.2 * radius, 10.0 * radius),
     )
     i, o = layout_distances(spec)
     wins += i < o
     gaps.append(o - i)
 print(f"inward shorter in {wins}/200 trials;"
-      f" median saving {np.median(gaps):.2f} length units")
+      f" median saving {statistics.median(gaps):.2f} length units")
 
 print("\n= Reinforcement race between the two wirings =\n")
 routes = RouteSet((Route(length=inward), Route(length=outward)))

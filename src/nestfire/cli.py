@@ -177,21 +177,18 @@ def _cmd_layout(args) -> int:
 
     check_rows("--trials", _whole(args.trials, "--trials", 1))
     _whole(args.seed, "--seed", 0)
-    try:
-        import numpy as np
-    except ImportError:
-        raise NestfireError("layout needs numpy, which is not installed") from None
+    from random import Random
 
     from .energy import random_mirrored_layout
 
     print(f"seed={args.seed} trials={args.trials}")
-    rng = np.random.default_rng(args.seed)
+    rng = Random(args.seed)
     passed = 0
     for _ in range(args.trials):
         radius = rng.uniform(0.5, 2.0)
         layout = random_mirrored_layout(
             rng,
-            num_nodes=int(rng.integers(3, 12)),
+            num_nodes=rng.randrange(3, 12),
             radius=radius,
             separation=rng.uniform(2.5 * radius, 8.0 * radius),
         )

@@ -18,7 +18,6 @@ import math
 from functools import cached_property
 from itertools import accumulate
 from operator import mul
-from typing import TYPE_CHECKING
 
 from .errors import AttenuatedOut, DegenerateLayout, OutOfRange, ValidationError
 from .topology import Frozen, _real, _shown, _whole, brief
@@ -43,11 +42,6 @@ __all__ = [
     "stigmergy_reinforce",
     "most_reinforced",
 ]
-
-# numpy is imported inside the layout code that uses it, so the chain and
-# centering code loads without it.
-if TYPE_CHECKING:
-    import numpy as np
 
 _MAX_ORACLE_FIRINGS = 10**6  # event_oracle replays a million in about half a second
 
@@ -205,41 +199,42 @@ def best_center(chain: WeightChain) -> int:
 
 
 class GroupLayout(Frozen):
-    """Planar node positions of one group plus its designated terminal node.
-    Layouts, like the arrays they hold, are equal only to themselves."""
+    """Planar node positions of one group, as ``(x, y)`` floats, plus its
+    designated terminal node."""
 
     _fields = ("nodes", "terminal")
-    nodes: np.ndarray
+    nodes: tuple[tuple[float, float], ...]
     terminal: int
 
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
     def _check(self) -> None:
-        import numpy as np
-
-        nodes = np.asarray(self.nodes, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        if nodes.ndim != 2 or nodes.shape[1] != 2 or nodes.shape[0] < 1:
-            raise ValidationError(f"nodes must be a (k, 2) array, got shape {nodes.shape}")
-        if not np.isfinite(nodes).all():
+        try:
+            nodes = tuple((_real(x), _real(y)) for x, y in self.nodes)
+        except (TypeError, ValueError):  # no sequence, or a node that is no pair
+            raise ValidationError(f"nodes must be (x, y) pairs, got {_shown(self.nodes)}") from None
+        if not nodes:
+            raise ValidationError("a group needs at least one node")
+        if not all(math.isfinite(v) for node in nodes for v in node):
             raise ValidationError("node positions must be finite")
-        object.__setattr__(self, "terminal", _whole(self.terminal, "terminal"))
-        if not 0 <= self.terminal < nodes.shape[0]:
-            raise ValidationError(f"terminal {self.terminal} not among the {nodes.shape[0]} nodes")
+        object.__setattr__(self, "nodes", nodes)
+        terminal = _whole(self.terminal, "terminal")
+        object.__setattr__(self, "terminal", terminal)
+        if not 0 <= terminal < len(nodes):
+            raise ValidationError(f"terminal {brief(terminal)} not among the {len(nodes)} nodes")
 
     @property
-    def center(self) -> np.ndarray:
-        return self.nodes.mean(axis=0)
+    def center(self) -> tuple[float, float]:
+        xs, ys = zip(*self.nodes)
+        return math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
 
     @property
-    def terminal_position(self) -> np.ndarray:
+    def terminal_position(self) -> tuple[float, float]:
         return self.nodes[self.terminal]
 
     @property
-    def mirrored_terminal(self) -> np.ndarray:
+    def mirrored_terminal(self) -> tuple[float, float]:
         """Terminal reflected through the group center, onto the far edge."""
-        return 2.0 * self.center - self.terminal_position
+        (cx, cy), (tx, ty) = self.center, self.terminal_position
+        return 2.0 * cx - tx, 2.0 * cy - ty
 
 
 class LayoutSpec(Frozen):
@@ -249,15 +244,10 @@ class LayoutSpec(Frozen):
     group_a: GroupLayout
     group_b: GroupLayout
 
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
     @property
     def separation(self) -> float:
         """Center-to-center distance between the two groups."""
-        import numpy as np
-
-        return float(np.linalg.norm(self.group_b.center - self.group_a.center))
+        return math.dist(self.group_a.center, self.group_b.center)
 
 
 def layout_distances(layout: LayoutSpec) -> tuple[float, float]:
@@ -267,41 +257,49 @@ def layout_distances(layout: LayoutSpec) -> tuple[float, float]:
     mirrored layout); ``outward`` mirrors each terminal through its group
     center onto the far edge. Shorter inward distance is what makes the
     facing arrangement cheaper to wire and quicker to reinforce.
-    """
-    import numpy as np
 
+    A mirrored layout has a closed form. Group b is group a reflected
+    through m = c + (s/2, 0), for group a's center c and the separation s,
+    so b's terminal is 2m - t and b's center 2m - c. With (dx, dy) = t - c:
+
+        inward  = |(2m - t) - t|                      = 2 |(s/2 - dx, -dy)|
+        outward = |(2(2m - c) - (2m - t)) - (2c - t)| = 2 |(s/2 + dx, dy)|
+
+    so outward**2 - inward**2 = 8 s dx, and inward < outward exactly when
+    dx > 0. The terminal is the node of largest x, so dx > 0 unless every
+    node has the same x.
+    """
     if layout.separation < 1e-12:
         raise DegenerateLayout("the two groups coincide")
-    inward = float(
-        np.linalg.norm(layout.group_b.terminal_position - layout.group_a.terminal_position)
-    )
-    outward = float(
-        np.linalg.norm(layout.group_b.mirrored_terminal - layout.group_a.mirrored_terminal)
-    )
+    inward = math.dist(layout.group_a.terminal_position, layout.group_b.terminal_position)
+    outward = math.dist(layout.group_a.mirrored_terminal, layout.group_b.mirrored_terminal)
     return inward, outward
 
 
 def random_mirrored_layout(
-    rng: np.random.Generator,
+    rng,
     num_nodes: int = 8,
     radius: float = 1.0,
     separation: float = 4.0,
 ) -> LayoutSpec:
     """Random facing pair: group_b is group_a point-reflected through the
-    midpoint between centers, so the terminals sit on the facing edges."""
-    import numpy as np
+    midpoint between centers, so the terminals sit on the facing edges.
 
+    Group a's nodes are uniform on a disc of ``radius``, and its terminal is
+    the node of largest x. ``rng`` needs ``uniform(a, b)`` and ``random()``,
+    as ``random.Random`` and numpy's ``Generator`` both have."""
     num_nodes = _whole(num_nodes, "num_nodes", 2)
     if not (0 < _real(radius) and 0 < _real(separation)):  # false for NaN and non-numbers
         raise ValidationError("radius and separation must be > 0")
-    angles = rng.uniform(0.0, 2.0 * np.pi, size=num_nodes)
-    radii = radius * np.sqrt(rng.uniform(0.0, 1.0, size=num_nodes))
-    nodes_a = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
-    terminal = int(np.argmax(nodes_a[:, 0]))
-    group_a = GroupLayout(nodes=nodes_a, terminal=terminal)
-    midpoint = group_a.center + np.array([separation / 2.0, 0.0])
-    group_b = GroupLayout(nodes=2.0 * midpoint - nodes_a, terminal=terminal)
-    return LayoutSpec(group_a=group_a, group_b=group_b)
+    angles = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(num_nodes)]
+    radii = [radius * math.sqrt(rng.random()) for _ in range(num_nodes)]
+    nodes_a = [(r * math.cos(a), r * math.sin(a)) for a, r in zip(angles, radii)]
+    terminal = max(range(num_nodes), key=lambda k: nodes_a[k][0])
+    group_a = GroupLayout(nodes_a, terminal)
+    cx, cy = group_a.center
+    mx, my = cx + separation / 2.0, cy
+    group_b = GroupLayout([(2.0 * mx - x, 2.0 * my - y) for x, y in group_a.nodes], terminal)
+    return LayoutSpec(group_a, group_b)
 
 
 class Route(Frozen):

@@ -3,8 +3,8 @@ of the kind due raises the error the argument's range check raises, never a
 bare builtin error, and no such value is accepted."""
 
 import math
+import random
 
-import numpy as np
 import pytest
 
 from nestfire import (
@@ -48,7 +48,7 @@ HOP = HopSpec(1.0, 0.5, 1.0, 1.0)
 
 
 def rng():
-    return np.random.default_rng(0)
+    return random.Random(0)
 
 
 def with_parent(parent):

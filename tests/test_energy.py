@@ -2,6 +2,7 @@
 event oracle, centering costs, layout distances, stigmergic reinforcement."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -251,9 +252,9 @@ class TestBestCenter:
 
 class TestLayout:
     def collinear_layout(self, separation):
-        a = GroupLayout(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), 0)
-        shift = np.array([separation, 0.0])
-        b = GroupLayout(np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]) + shift, 0)
+        a = GroupLayout(((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)), 0)
+        nodes_b = ((-1.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
+        b = GroupLayout([(x + separation, y) for x, y in nodes_b], 0)
         return LayoutSpec(a, b)
 
     def test_facing_edges(self):
@@ -267,15 +268,16 @@ class TestLayout:
         assert outward == 12.0
 
     def test_coincident_groups_rejected(self):
-        a = GroupLayout(np.array([[1.0, 0.0], [-1.0, 0.0]]), 0)
+        a = GroupLayout(((1.0, 0.0), (-1.0, 0.0)), 0)
         with pytest.raises(DegenerateLayout):
             layout_distances(LayoutSpec(a, a))
 
     def test_terminal_must_exist(self):
         with pytest.raises(ValueError):
-            GroupLayout(np.array([[0.0, 0.0]]), 3)
+            GroupLayout(((0.0, 0.0),), 3)
 
     def test_mirrored_layouts_prefer_inward(self):
+        # numpy's Generator has the two draws a layout needs, as random.Random does.
         rng = np.random.default_rng(90210)
         for _ in range(50):
             radius = float(rng.uniform(0.5, 3.0))
@@ -289,11 +291,34 @@ class TestLayout:
             assert inward < outward
 
     def test_mirrored_layout_geometry(self):
-        rng = np.random.default_rng(3)
-        layout = random_mirrored_layout(rng, num_nodes=7, radius=1.5, separation=5.0)
+        layout = random_mirrored_layout(random.Random(3), num_nodes=7, radius=1.5, separation=5.0)
         assert layout.separation == pytest.approx(5.0)
-        # point reflection preserves the node multiset shape
-        assert layout.group_a.nodes.shape == layout.group_b.nodes.shape
+        # group b is group a point-reflected through the midpoint between centers
+        (ax, ay), (bx, by) = layout.group_a.center, layout.group_b.center
+        nodes_a, nodes_b = layout.group_a.nodes, layout.group_b.nodes
+        assert len(nodes_a) == len(nodes_b) == 7
+        for (xa, ya), (xb, yb) in zip(nodes_a, nodes_b):
+            assert (xa + xb, ya + yb) == pytest.approx((ax + bx, ay + by))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_nodes=st.integers(2, 16),
+        radius=st.floats(0.01, 100.0),
+        ratio=st.floats(2.2, 20.0),
+    )
+    def test_distances_follow_the_closed_form(self, seed, num_nodes, radius, ratio):
+        # The closed form of ``layout_distances``' docstring, from group a alone.
+        separation = ratio * radius
+        layout = random_mirrored_layout(random.Random(seed), num_nodes, radius, separation)
+        group = layout.group_a
+        (cx, cy), (tx, ty) = group.center, group.terminal_position
+        dx, dy = tx - cx, ty - cy
+        inward, outward = layout_distances(layout)
+        assert inward == pytest.approx(2 * math.hypot(separation / 2 - dx, dy), rel=1e-9)
+        assert outward == pytest.approx(2 * math.hypot(separation / 2 + dx, dy), rel=1e-9)
+        assert (inward < outward) == (dx > 0)
+        # the terminal is the node of largest x, so it is never left of the center
+        assert dx >= 0
 
 
 class TestStigmergy:
@@ -368,15 +393,13 @@ INVALID_ENERGY_INPUTS = {
     "weight-nan": lambda: WeightChain([2, NAN]),
     "weight-inf": lambda: WeightChain([INF]),
     "weight-text": lambda: WeightChain(["x"]),
-    "group-wrong-shape": lambda: GroupLayout(np.zeros((3, 3)), 0),
-    "group-bad-terminal": lambda: GroupLayout(np.zeros((3, 2)), 3),
-    "layout-one-node": lambda: random_mirrored_layout(np.random.default_rng(0), num_nodes=1),
-    "layout-zero-radius": lambda: random_mirrored_layout(np.random.default_rng(0), radius=0.0),
-    "group-nan-node": lambda: GroupLayout(np.array([[0.0, NAN], [1.0, 0.0]]), 0),
-    "layout-nan-radius": lambda: random_mirrored_layout(np.random.default_rng(0), radius=NAN),
-    "layout-inf-separation": lambda: random_mirrored_layout(
-        np.random.default_rng(0), separation=INF
-    ),
+    "group-wrong-shape": lambda: GroupLayout([(0.0, 0.0, 0.0)] * 3, 0),
+    "group-bad-terminal": lambda: GroupLayout([(0.0, 0.0)] * 3, 3),
+    "layout-one-node": lambda: random_mirrored_layout(random.Random(0), num_nodes=1),
+    "layout-zero-radius": lambda: random_mirrored_layout(random.Random(0), radius=0.0),
+    "group-nan-node": lambda: GroupLayout([(0.0, NAN), (1.0, 0.0)], 0),
+    "layout-nan-radius": lambda: random_mirrored_layout(random.Random(0), radius=NAN),
+    "layout-inf-separation": lambda: random_mirrored_layout(random.Random(0), separation=INF),
     "route-nan-length": lambda: Route(NAN),
     "route-inf-reinforcement": lambda: Route(1.0, INF),
     "route-zero-length": lambda: Route(0.0),

@@ -206,7 +206,7 @@ def test_chain_values_keyword_and_default_constructors():
     assert Route(2.0, reinforcement=1.0).reinforcement == 1.0
     assert RouteSet(routes=[Route(2.0)]) == RouteSet((Route(2.0),))
     group = GroupLayout(nodes=[[0.0, 0.0], [1.0, 0.0]], terminal=1)
-    assert group.terminal == 1 and group.nodes.tolist() == [[0.0, 0.0], [1.0, 0.0]]
+    assert group.terminal == 1 and group.nodes == ((0.0, 0.0), (1.0, 0.0))
     assert LayoutSpec(group_a=group, group_b=group).group_b is group
 
 
@@ -234,8 +234,9 @@ def test_chain_values_coerce_fields():
     weights = WeightChain([5, 2.0, np.int64(3)]).weights
     assert weights == (5, 2, 3) and all(type(w) is int for w in weights)
     assert type(RouteSet([Route(1.0)]).routes) is tuple
-    nodes = GroupLayout([[0, 0], [1, 0]], 0).nodes
-    assert type(nodes) is np.ndarray and nodes.dtype == float
+    nodes = GroupLayout([[0, 0], [1, np.int64(0)]], 0).nodes
+    assert nodes == ((0.0, 0.0), (1.0, 0.0))
+    assert type(nodes) is tuple and all(type(v) is float for node in nodes for v in node)
 
 
 @pytest.mark.parametrize(
@@ -257,9 +258,9 @@ def test_chain_values_coerce_fields():
         (lambda: Route(1.0, math.nan), "reinforcement must be finite, got nan"),
         (
             lambda: GroupLayout([[0.0, 0.0, 0.0]], 0),
-            r"nodes must be a \(k, 2\) array, got shape \(1, 3\)",
+            r"nodes must be \(x, y\) pairs, got \[\[0.0, 0.0, 0.0\]\]",
         ),
-        (lambda: GroupLayout(np.zeros((0, 2)), 0), r"got shape \(0, 2\)"),
+        (lambda: GroupLayout([], 0), "a group needs at least one node"),
         (lambda: GroupLayout([[math.nan, 0.0]], 0), "node positions must be finite"),
         (lambda: GroupLayout([[0.0, 0.0]], 1), "terminal 1 not among the 1 nodes"),
     ],
@@ -315,18 +316,17 @@ def test_chain_value_assignment_is_rejected(kind):
         obj.no_such_field = 1
 
 
-def test_layouts_are_equal_only_to_themselves():
+def test_layouts_compare_and_hash_by_value():
     group = GroupLayout([[0.0, 0.0], [1.0, 0.0]], 1)
-    twin = GroupLayout([[0.0, 0.0], [1.0, 0.0]], 1)
-    assert group == group and group != twin
-    assert hash(group) == object.__hash__(group)
-    layout, other = LayoutSpec(group, twin), LayoutSpec(group, twin)
-    assert layout == layout and layout != other
-    assert hash(layout) == object.__hash__(layout)
-    assert repr(LayoutSpec(group, group)).startswith(
-        "LayoutSpec(group_a=GroupLayout(nodes=array([[0., 0.],"
-    )
-    assert repr(group) == "GroupLayout(nodes=array([[0., 0.],\n       [1., 0.]]), terminal=1)"
+    twin = GroupLayout(((0, 0), (1, 0)), 1)
+    assert group == twin and hash(group) == hash(twin)
+    assert group != GroupLayout(group.nodes, 0) and group != GroupLayout([(0.0, 0.0)], 0)
+    layout, other = LayoutSpec(group, twin), LayoutSpec(twin, group)
+    assert layout == other and hash(layout) == hash(other)
+    assert layout != LayoutSpec(group, GroupLayout(group.nodes, 0))
+    assert len({layout, other, LayoutSpec(group, group)}) == 1
+    assert repr(group) == "GroupLayout(nodes=((0.0, 0.0), (1.0, 0.0)), terminal=1)"
+    assert repr(layout) == f"LayoutSpec(group_a={group!r}, group_b={group!r})"
 
 
 def test_reinforcement_builds_new_routes():
