@@ -12,7 +12,7 @@ export PYTHONPATH=src
 "$dir/nonumpy/bin/python" -c "import numpy" 2>/dev/null && exit 1
 "$dir/nonumpy/bin/python" -m nestfire --version
 "$dir/nonumpy/bin/python" -m nestfire --help
-"$dir/nonumpy/bin/python" -m nestfire verify-table1
+test "$("$dir/nonumpy/bin/python" -m nestfire verify-table1)" = "pass max_abs_error=0"
 "$dir/nonumpy/bin/python" -m nestfire simulate --scenario src/nestfire/data/table1.scenario --out "$dir/nonumpy-trace.csv"
 # A free run in which the firing patterns move inward, so that on
 # some steps the firing list is no prefix of the last step's and the
@@ -27,10 +27,12 @@ print(json.dumps({"ensemble": ensemble, "schedule": {"type": "staggered", "inter
 EOF
 "$dir/nonumpy/bin/python" -m nestfire simulate --scenario "$dir/nonumpy-free.scenario" --out "$dir/nonumpy-free.csv"
 # Both traces read back, without numpy, to the same text, and the
-# per-pattern readers find where each pattern returns to zero.
+# per-pattern readers find where each pattern returns to zero. The
+# golden grids are lists, and the built-in run matches the fixture.
 "$dir/nonumpy/bin/python" - "$dir/nonumpy-trace.csv" "$dir/nonumpy-free.csv" <<'EOF'
 import sys
-from nestfire import first_zero_step, pattern_strength, read_trace, write_trace
+from nestfire import (compare_golden, first_zero_step, golden_table, pattern_strength,
+                      read_trace, run, standard_scenario, table1_fixture, write_trace)
 
 zeros = []
 for path in sys.argv[1:]:
@@ -42,6 +44,10 @@ for path in sys.argv[1:]:
     for k, t in enumerate(zeros[-1]):
         assert t is None or pattern_strength(table, k, t) == 0.0 < pattern_strength(table, k, t - 1)
 assert zeros[0] == [5, None, None, None, None]  # the shipped run: only the outermost falls
+trace = run(*standard_scenario())
+assert compare_golden(trace, table1_fixture()).passed
+with open(sys.argv[1]) as shipped:
+    assert golden_table(read_trace(shipped.read())) == golden_table(trace) == table1_fixture()
 assert "numpy" not in sys.modules
 EOF
 "$dir/nonumpy/bin/python" -m nestfire counter --depth 3

@@ -24,12 +24,12 @@ public name such as ``nestfire.CounterSpec`` imports only the modules
 searched to find it: ``errors``, ``topology``, ``counter`` and ``energy``
 first, then ``dynamics``, ``scenario`` and ``readback``. Asking for
 ``__all__`` (or ``from nestfire import *``) loads them all. None of them
-imports numpy as it loads: ``dynamics`` and ``readback`` import it only
-inside the functions that build arrays (a trace's arrays and the public
-golden grids), and layouts are ``(x, y)`` float pairs. A trace holds one
+imports numpy as it loads: only a trace's array views (``strength``,
+``pattern_of``, ``values``) import it, when first read. Golden grids are
+lists of floats and layouts ``(x, y)`` float pairs. A trace holds one
 strength per pattern per step and its neurons as blocks, so ``run``,
-``pattern_strength``, ``first_zero_step``, ``write_trace``,
-``read_trace``, ``compare_golden`` and every command never load it.
+``write_trace``, every name of ``readback`` (its readers, golden grids and
+comparisons) and every command never load it.
 """
 
 from importlib import import_module

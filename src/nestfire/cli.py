@@ -125,12 +125,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify_table1(args) -> int:
-    from .readback import _table1_rows  # the golden grid as lists: the comparison needs no numpy
+    from .readback import table1_fixture
     from .scenario import standard_scenario
 
     trace = run(*standard_scenario())
     tolerance = () if args.tolerance is None else (args.tolerance,)
-    report = compare_golden(trace, _table1_rows(), *tolerance)
+    report = compare_golden(trace, table1_fixture(), *tolerance)
     if report.passed:
         print(f"pass max_abs_error={report.max_abs_error:g}")
         return 0

@@ -43,14 +43,16 @@ class Phase(enum.Enum):
 
 
 class CounterSpec(Frozen):
-    """Chain depth. A depth below 1 constructs, and ``start``, ``tick`` and
-    ``run_counter`` refuse it."""
+    """Chain depth: at least 1 (else InvalidDepth), and at most
+    ``topology.MAX_ROWS``, since the command prints one line per level."""
 
     _fields = ("depth",)
     depth: int
 
     def _check(self) -> None:
-        object.__setattr__(self, "depth", _whole(self.depth, "counter depth", error=InvalidDepth))
+        depth = _whole(self.depth, "counter depth", 1, error=InvalidDepth)
+        check_rows("counter depth", depth)
+        object.__setattr__(self, "depth", depth)
 
 
 class CounterState(Frozen):
@@ -66,13 +68,11 @@ class CounterState(Frozen):
 
 def start(spec: CounterSpec) -> CounterState:
     """Idle state, ready to cascade from level 1 on the first tick."""
-    _check_depth(spec)
     return _state_at(spec, 0)
 
 
 def tick(state: CounterState, spec: CounterSpec) -> CounterState:
     """Advance the counter by one tick; quiescence is absorbing."""
-    _check_depth(spec)
     if state.phase is Phase.QUIESCENT:
         return state
     return _state_at(spec, _whole(state.tick, "counter tick", 0) + 1)
@@ -81,7 +81,6 @@ def tick(state: CounterState, spec: CounterSpec) -> CounterState:
 def run_counter(spec: CounterSpec) -> tuple[range, CounterState]:
     """The levels counted, level k at tick k, and the final state, reached at
     tick depth + 2."""
-    _check_depth(spec)
     final = _state_at(spec, spec.depth + 2)
     return final.counted, final
 
@@ -98,8 +97,3 @@ def _state_at(spec: CounterSpec, t: int) -> CounterState:
     if t == d + 1:
         return CounterState(Phase.SHUTTING_DOWN, None, t, counted)
     return CounterState(Phase.QUIESCENT, None, t, counted)
-
-
-def _check_depth(spec: CounterSpec) -> None:
-    # The command prints one line per level.
-    check_rows("counter depth", _whole(spec.depth, "counter depth", 1, error=InvalidDepth))

@@ -3,9 +3,10 @@
 ``read_trace`` inverts ``scenario.write_trace`` in plain Python. It walks
 the text line by line and collapses each step to one strength per pattern
 as it goes, so memory holds the table and a few thousand rows' text, never
-a row per neuron. The queries and golden comparison work on plain lists
-too; only the array-valued grids import numpy. ``simulate`` loads none of
-this module, and its public names also resolve through ``scenario``.
+a row per neuron. The queries, the golden grids and their comparison work
+on plain lists too: a grid is one list of three floats per neuron, and
+nothing here imports numpy. ``simulate`` loads none of this module, and its
+public names also resolve through ``scenario``.
 """
 
 from __future__ import annotations
@@ -14,15 +15,12 @@ import math
 import re
 from array import array
 from struct import pack
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .dynamics import TraceTable
 from .errors import OutOfRange, ParseError, ValidationError, WrongShape
 from .scenario import TRACE_HEADER
 from .topology import _real, _shown, _whole, brief
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "GoldenReport",
@@ -175,18 +173,12 @@ def compare_grids(actual, expected, tolerance: float = GOLDEN_TOLERANCE) -> Gold
 def compare_golden(trace: TraceTable, fixture, tolerance: float = GOLDEN_TOLERANCE) -> GoldenReport:
     """Compare a trace's golden grid (neurons 1..25 at t=3,4,5) against a
     25 x 3 fixture grid."""
-    return compare_grids(_golden_rows(trace), fixture, tolerance)
+    return compare_grids(golden_table(trace), fixture, tolerance)
 
 
-def golden_table(trace: TraceTable) -> np.ndarray:
-    """A trace's 25 x 3 grid (neurons 1..25 at t = 3, 4, 5) for golden comparison."""
-    import numpy as np
-
-    return np.array(_golden_rows(trace))
-
-
-def _golden_rows(trace: TraceTable) -> list[list[float]]:
-    """The grid of :func:`golden_table` as one list of Python numbers per neuron."""
+def golden_table(trace: TraceTable) -> list[list[float]]:
+    """A trace's 25 x 3 grid for golden comparison: one list of its strengths
+    at t = 3, 4, 5 per neuron, neurons 1..25 in order."""
     if trace.num_neurons != 25 or trace.num_steps < 5:
         raise WrongShape(
             f"need a 25-neuron trace of >= 5 steps, got {trace.num_neurons} neurons"
@@ -197,31 +189,19 @@ def _golden_rows(trace: TraceTable) -> list[list[float]]:
     return [[column[p] for column in columns] for p, count in trace._blocks for _ in range(count)]
 
 
-def read_golden_fixture(text: str) -> np.ndarray:
-    """Parse the golden fixture CSV (header neuron,t3,t4,t5) into a grid."""
-    import numpy as np
-
-    return np.array(_fixture_rows(text)).reshape(-1, 3)
-
-
-def table1_fixture() -> np.ndarray:
+def table1_fixture() -> list[list[float]]:
     """The shipped 25 x 3 golden grid, exactly as printed in the reference
     strength table."""
-    import numpy as np
-
-    return np.array(_table1_rows())
-
-
-def _table1_rows() -> list[list[float]]:
-    """:func:`table1_fixture` as one list of floats per neuron, without numpy."""
     from importlib import resources
 
-    return _fixture_rows((resources.files("nestfire") / "data" / "table1_fixture.csv").read_text())
+    path = resources.files("nestfire") / "data" / "table1_fixture.csv"
+    return read_golden_fixture(path.read_text())
 
 
-def _fixture_rows(text: str) -> list[list[float]]:
-    """The golden fixture CSV as one list of floats per neuron. Blank lines
-    are skipped; the neurons must be numbered 1, 2, ... in order."""
+def read_golden_fixture(text: str) -> list[list[float]]:
+    """Parse the golden fixture CSV (header neuron,t3,t4,t5) into a grid, one
+    list of floats per neuron. Blank lines are skipped; the neurons must be
+    numbered 1, 2, ... in order."""
     rows, misnumbered = [], None
     number, pos = _header(text, FIXTURE_HEADER)
     while pos < len(text):

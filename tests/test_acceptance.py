@@ -63,9 +63,9 @@ def test_criterion_1_table1_reproduction():
     result = compare_golden(trace, table1_fixture(), tolerance=TABLE_TOLERANCE)
     grid = golden_table(trace)
     spots = (
-        grid[0].tolist() == [7.5, 5.0, 0.0]      # neuron 1
-        and grid[12].tolist() == [5.0, 7.5, 7.5]  # neuron 13
-        and grid[21].tolist() == [0.0, 0.0, 5.0]  # neuron 22
+        grid[0] == [7.5, 5.0, 0.0]      # neuron 1
+        and grid[12] == [5.0, 7.5, 7.5]  # neuron 13
+        and grid[21] == [0.0, 0.0, 5.0]  # neuron 22
     )
     report(
         "criterion 1: golden table reproduced (75 values, tol 1e-9)",

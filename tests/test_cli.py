@@ -66,8 +66,8 @@ class TestVerifyTable1:
         from nestfire import readback
 
         poked = table1_fixture()
-        poked[0, 0] += 1.0
-        monkeypatch.setattr(readback, "_table1_rows", lambda: poked)
+        poked[0][0] += 1.0
+        monkeypatch.setattr(readback, "table1_fixture", lambda: poked)
         assert dispatch(["verify-table1"]) == 1
         out = capsys.readouterr().out
         assert out.startswith("fail max_abs_error=1 mismatches=1\n")
@@ -334,6 +334,12 @@ class TestLayout:
     def test_default_seed_in_header(self, capsys):
         assert dispatch(["layout", "--trials", "3"]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "seed=12345 trials=3"
+
+    def test_never_exits_zero_on_failed_trials(self, capsys, monkeypatch):
+        # No drawn layout fails (its terminal is its node of largest x), so fake the distances.
+        monkeypatch.setattr(cli, "layout_distances", lambda layout: (2.0, 1.0))
+        assert dispatch(["layout", "--trials", "3", "--seed", "1"]) == 1
+        assert capsys.readouterr().out == "seed=1 trials=3\npass=0 fail=3\n"
 
     def test_identical_invocations_identical_output(self, capsys):
         dispatch(["layout", "--trials", "20", "--seed", "99"])

@@ -279,8 +279,8 @@ class TestTraceQueries:
 
     def test_golden_table_spot_rows(self, trace):
         grid = golden_table(trace)
-        assert grid[12].tolist() == [5.0, 7.5, 7.5]  # neuron 13
-        assert grid[21].tolist() == [0.0, 0.0, 5.0]  # neuron 22
+        assert grid[12] == [5.0, 7.5, 7.5]  # neuron 13
+        assert grid[21] == [0.0, 0.0, 5.0]  # neuron 22
 
     def test_golden_table_needs_standard_shape(self):
         small = run(build_linear(3, 2, 1.0, 0.5), Schedule.staggered(3), 5)

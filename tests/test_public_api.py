@@ -99,6 +99,6 @@ def test_readback_names_resolve_through_scenario():
 
     for name in readback.__all__:
         assert getattr(scenario, name) is getattr(readback, name) is getattr(nestfire, name)
-    for name in ("no_such_name", "_fixture_rows"):
+    for name in ("no_such_name", "_grid"):  # a private name of readback stays there
         with pytest.raises(AttributeError, match=name):
             getattr(scenario, name)

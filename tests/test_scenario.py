@@ -761,7 +761,7 @@ class TestGoldenComparison:
 
         grid = golden_table(trace)
         fixture = table1_fixture()
-        shifted = fixture + 0.25
+        shifted = np.array(fixture) + 0.25
         assert compare_grids(grid, fixture).passed == compare_grids(fixture, grid).passed
         a = compare_grids(grid, shifted)
         b = compare_grids(shifted, grid)
@@ -778,11 +778,11 @@ class TestGoldenComparison:
     def test_tolerance_must_be_finite_and_non_negative(self, tolerance):
         fixture = table1_fixture()
         with pytest.raises(ValidationError):
-            compare_grids(fixture + 1, fixture, tolerance)
+            compare_grids(np.array(fixture) + 1, fixture, tolerance)
 
     def test_mismatch_records_use_table_labels(self):
         fixture = table1_fixture()
-        poked = fixture.copy()
+        poked = np.array(fixture)
         poked[12, 1] -= 1.0  # neuron 13 at t=4
         report = compare_grids(poked, fixture)
         assert report.mismatches == ((13, 4, 7.5, 6.5),)
@@ -790,7 +790,7 @@ class TestGoldenComparison:
     @pytest.mark.parametrize("where", ["actual", "expected", "both"])
     def test_nan_cell_is_a_mismatch(self, where):
         fixture = table1_fixture()
-        poked = fixture.copy()
+        poked = np.array(fixture)
         poked[0, 0] = math.nan
         actual = poked if where in ("actual", "both") else fixture
         expected = poked if where in ("expected", "both") else fixture
@@ -800,7 +800,7 @@ class TestGoldenComparison:
         assert [m[:2] for m in report.mismatches] == [(1, 3)]
 
     def test_grids_may_be_lists(self):
-        fixture = table1_fixture()
+        fixture = np.array(table1_fixture())
         rows = fixture.tolist()
         assert compare_grids(rows, fixture) == compare_grids(fixture, fixture)
         rows[12][1] -= 1.0
@@ -830,11 +830,11 @@ FIELDS = "expected fields neuron,t3,t4,t5, got"
 class TestFixtureFile:
     def test_shipped_fixture_values(self):
         fixture = table1_fixture()
-        assert fixture.shape == (25, 3)
-        assert fixture[0].tolist() == [7.5, 5.0, 0.0]
-        assert fixture[12].tolist() == [5.0, 7.5, 7.5]
-        assert fixture[21].tolist() == [0.0, 0.0, 5.0]
-        assert fixture[24].tolist() == [0.0, 0.0, 5.0]
+        assert np.array(fixture).shape == (25, 3)
+        assert fixture[0] == [7.5, 5.0, 0.0]
+        assert fixture[12] == [5.0, 7.5, 7.5]
+        assert fixture[21] == [0.0, 0.0, 5.0]
+        assert fixture[24] == [0.0, 0.0, 5.0]
 
     def test_fixture_matches_reference_loop(self):
         rows = expand_to_neurons(reference_run(5, 5, 1.0, 0.5, [1, 2, 3, 4, 5], 5), 5)
@@ -867,8 +867,8 @@ class TestFixtureFile:
 
     def test_fixture_parsing_skips_blank_lines_and_keeps_shape(self):
         grid = read_golden_fixture("neuron,t3,t4,t5\n\n1,7.5, 5.0,-0.0\n\n")
-        assert grid.tolist() == [[7.5, 5.0, -0.0]] and grid.dtype == float
-        assert read_golden_fixture("neuron,t3,t4,t5\n").shape == (0, 3)
+        assert grid == [[7.5, 5.0, -0.0]] and {type(cell) for cell in grid[0]} == {float}
+        assert read_golden_fixture("neuron,t3,t4,t5\n") == []
 
     def test_malformed_fixture_rejected(self):
         with pytest.raises(ParseError):

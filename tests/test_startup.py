@@ -1,12 +1,13 @@
 """Start-up loads only what a command uses.
 
 ``import nestfire`` binds names on first access, and ``nestfire.cli`` imports
-each other module only when a command calls into it. ``dynamics`` and
-``readback`` import numpy only where they build arrays, and ``layout`` draws
+each other module only when a command calls into it. Only a trace's array
+views import numpy: golden grids are lists of floats, and ``layout`` draws
 its layouts as float pairs from ``random.Random``, so no command loads numpy,
-and ``layout`` runs where numpy is not installed. Nor does ``read_trace``
-load it. ``simulate`` writes a trace and never loads ``readback``, the module
-that reads one back; ``json`` loads only to parse or write a scenario, so
+and ``layout`` runs where numpy is not installed. Nor does ``read_trace`` or
+a golden grid load it. ``simulate`` writes a trace and never loads
+``readback``, the module that reads one back; ``json`` loads only to parse
+or write a scenario, so
 ``verify-table1`` never loads it. No value class is a dataclass, so no
 command loads ``dataclasses`` or ``inspect`` either. ``cli`` parses its arguments from a
 table, so no command loads ``argparse`` or ``gettext``. Each check that a
@@ -66,22 +67,22 @@ def child(code: str, *args: str, flags: tuple[str, ...] = ()) -> subprocess.Comp
 
 
 @pytest.mark.parametrize(
-    "args, numpy",
+    "args",
     [
-        (["--version"], False),
-        (["counter", "--depth", "3"], False),
-        (["chain", "--hops", "2,2"], False),
-        (["center", "--weights", "5,2,2,2,10,10"], False),
-        (["verify-table1"], False),
-        (["layout", "--trials", "2"], False),
+        ["--version"],
+        ["counter", "--depth", "3"],
+        ["chain", "--hops", "2,2"],
+        ["center", "--weights", "5,2,2,2,10,10"],
+        ["verify-table1"],
+        ["layout", "--trials", "2"],
     ],
-    ids=lambda value: value if isinstance(value, bool) else value[0],
+    ids=lambda args: args[0],
 )
-def test_command_loads_numpy_only_when_it_computes_with_it(args, numpy):
-    # None loads argparse; one that loads no numpy loads no dataclasses or inspect, as numpy may.
-    watched = ["numpy", *NOT_PARSING] + ([] if numpy else ["dataclasses", "inspect"])
+def test_command_loads_no_numpy(args):
+    # Nor argparse, nor the dataclasses and inspect that numpy may load.
+    watched = ["numpy", *NOT_PARSING, "dataclasses", "inspect"]
     result = child(RUN_MODULE, ",".join(watched), *args)
-    assert result.stderr.splitlines()[-1] == f"loaded={['numpy'] if numpy else []} exit=0"
+    assert result.stderr.splitlines()[-1] == "loaded=[] exit=0"
     assert result.stdout
 
 
@@ -155,14 +156,21 @@ def test_verify_table1_and_read_trace_load_no_numpy():
     result = child(
         "import contextlib, io, sys\n"
         "from nestfire import cli, read_trace, run, standard_scenario, write_trace\n"
+        "from nestfire import golden_table, read_golden_fixture, table1_fixture\n"
         "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
         "    code = cli.dispatch(['verify-table1'])\n"
         "text = write_trace(run(*standard_scenario()))\n"
         "print(out.getvalue().strip(), code, write_trace(read_trace(text)) == text)\n"
+        "fixture = read_golden_fixture('neuron,t3,t4,t5\\n1,7.5,5.0,0.0\\n')\n"
+        "print(golden_table(read_trace(text)) == table1_fixture(), fixture == [[7.5, 5.0, 0.0]])\n"
         "print(sorted(m for m in sys.modules if m.startswith(('nestfire.readback', 'numpy'))))\n"
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["pass max_abs_error=0 0 True", "['nestfire.readback']"]
+    assert result.stdout.splitlines() == [
+        "pass max_abs_error=0 0 True",
+        "True True",
+        "['nestfire.readback']",
+    ]
 
 
 def test_import_and_numpy_free_names_load_no_numpy():
