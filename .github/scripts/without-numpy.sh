@@ -28,7 +28,8 @@ EOF
 "$dir/nonumpy/bin/python" -m nestfire simulate --scenario "$dir/nonumpy-free.scenario" --out "$dir/nonumpy-free.csv"
 # Both traces read back, without numpy, to the same text, and the
 # per-pattern readers find where each pattern returns to zero. The
-# golden grids are lists, and the built-in run matches the fixture.
+# golden grids and a trace's views are lists, and the built-in run
+# matches the fixture.
 "$dir/nonumpy/bin/python" - "$dir/nonumpy-trace.csv" "$dir/nonumpy-free.csv" <<'EOF'
 import sys
 from nestfire import (compare_golden, first_zero_step, golden_table, pattern_strength,
@@ -47,7 +48,11 @@ assert zeros[0] == [5, None, None, None, None]  # the shipped run: only the oute
 trace = run(*standard_scenario())
 assert compare_golden(trace, table1_fixture()).passed
 with open(sys.argv[1]) as shipped:
-    assert golden_table(read_trace(shipped.read())) == golden_table(trace) == table1_fixture()
+    back = read_trace(shipped.read())
+assert golden_table(back) == golden_table(trace) == table1_fixture()
+assert trace.strength[-1] == [0.0, 5.0, 7.5, 7.5, 5.0]
+assert back.strength == trace.strength and len(trace.strength) == 5
+assert back.pattern_of == trace.pattern_of == [k for k in range(5) for _ in range(5)]
 assert "numpy" not in sys.modules
 EOF
 "$dir/nonumpy/bin/python" -m nestfire counter --depth 3

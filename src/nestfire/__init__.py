@@ -24,12 +24,10 @@ public name such as ``nestfire.CounterSpec`` imports only the modules
 searched to find it: ``errors``, ``topology``, ``counter`` and ``energy``
 first, then ``dynamics``, ``scenario`` and ``readback``. Asking for
 ``__all__`` (or ``from nestfire import *``) loads them all. None of them
-imports numpy as it loads: only a trace's array views (``strength``,
-``pattern_of``, ``values``) import it, when first read. Golden grids are
-lists of floats and layouts ``(x, y)`` float pairs. A trace holds one
-strength per pattern per step and its neurons as blocks, so ``run``,
-``write_trace``, every name of ``readback`` (its readers, golden grids and
-comparisons) and every command never load it.
+imports numpy, and the package needs nothing beyond Python: a trace holds
+one strength per pattern per step and its neurons as blocks, and its views
+``strength`` and ``pattern_of`` are lists; golden grids are lists of
+floats and layouts ``(x, y)`` float pairs.
 """
 
 from importlib import import_module

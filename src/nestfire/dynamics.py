@@ -9,10 +9,9 @@ Strengths clamp at zero; they never go negative.
 
 Every update is the same for all members of a pattern, so the step kernel
 and its traces hold one strength per pattern, and a trace's neurons are
-``(pattern, count)`` blocks: nothing holds a value per neuron until a caller
-asks for one. The kernel works on plain lists of one float per pattern.
-numpy is imported only for a table's arrays, on first read. Queries on a
-trace live in ``readback``, which ``simulate`` never loads.
+``(pattern, count)`` blocks: nothing holds a value per neuron. The kernel
+and a table's views are plain lists, and nothing here imports numpy.
+Queries on a trace live in ``readback``, which ``simulate`` never loads.
 
 Two firing modes exist:
 
@@ -38,18 +37,14 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from functools import cached_property
 from itertools import groupby
 from operator import add, sub
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .errors import SpecMismatch, ValidationError, WrongShape
 # bench/tracing.py swaps ``members`` (not called here) and ``ancestors`` (see
 # ``run``) by name, so both stay bound; tests/test_traced_names.py pins them.
 from .topology import EnsembleSpec, Frozen, _whole, ancestors, check_rows, members, validate
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "MODE_SCHEDULED",
@@ -84,13 +79,12 @@ class Schedule(Frozen):
 class TraceTable(Frozen):
     """Step x pattern strengths plus a neuron-to-pattern map naming every pattern.
 
-    A table holds its strengths, integers or floats, as one flat sequence
-    of Python numbers, step after step (``run``'s ``array('d')``, or the
-    constructor's array converted), and its map as ``(pattern, count)``
-    blocks of neighbouring neurons. The arrays ``strength``, ``pattern_of``
-    and ``values`` are built from those, importing numpy, when first read;
-    the constructor keeps the arrays it was given as the first two. Tables
-    are equal only to themselves; the repr shows the strengths.
+    The constructor takes one row of strengths, integers or floats, per step
+    and one pattern per neuron, as lists or as anything with ``tolist()``.
+    A table holds the strengths as one flat sequence, step after step, and
+    the map as ``(pattern, count)`` blocks of neighbouring neurons; its views
+    ``strength`` and ``pattern_of`` are new lists on each read. Tables are
+    equal only to themselves; the repr shows the strengths.
     """
 
     _fields = ("strength",)
@@ -98,46 +92,48 @@ class TraceTable(Frozen):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, strength: np.ndarray, pattern_of: np.ndarray) -> None:
-        object.__setattr__(self, "strength", strength)
-        object.__setattr__(self, "pattern_of", pattern_of)
-        if strength.dtype.kind not in "iuf":  # bools, complex numbers and objects do not read back
-            raise WrongShape(f"strengths must be integers or floats, got dtype {strength.dtype}")
-        shapes_ok = self.strength.ndim == 2 and self.pattern_of.ndim == 1
-        # A set, not np.unique: that imports numpy.ma (tens of ms) on first use.
-        if not shapes_ok or set(self.pattern_of.tolist()) != set(range(self.strength.shape[1])):
-            raise WrongShape(f"pattern_of must name each pattern of strength{self.strength.shape}")
-        blocks = [(p, len(list(block))) for p, block in groupby(pattern_of.tolist())]
-        self._hold(strength.ravel().tolist(), strength.shape, blocks)
+    def __init__(self, strength, pattern_of) -> None:
+        given = [x.tolist() if hasattr(x, "tolist") else x for x in (strength, pattern_of)]
+        try:
+            rows, labels = [list(row) for row in given[0]], list(given[1])
+        except TypeError:  # a number where a sequence belongs, as in a 1-D strength
+            raise WrongShape("strength must be a sequence of rows, pattern_of a sequence") from None
+        if not all(type(p) is int for p in labels):
+            raise WrongShape("pattern_of must hold one pattern number per neuron")
+        width = len(set(labels))
+        if any(len(row) != width for row in rows):
+            raise WrongShape(f"each row of strength must be {width} wide, one strength per pattern")
+        flat = [value for row in rows for value in row]
+        for kind in map(type, flat):  # bools, complex numbers and objects do not read back
+            if kind is not int and kind is not float:
+                raise WrongShape(f"strengths must be integers or floats, got {kind.__name__}")
+        blocks = [(p, len(list(block))) for p, block in groupby(labels)]
+        self._hold(flat, len(rows), blocks)
 
-    def _hold(self, rows: Sequence, shape: tuple[int, int], blocks: list) -> TraceTable:
-        """Store the one form of a table: ``run`` makes its tables with this."""
-        vars(self).update(_rows=rows, num_steps=shape[0], num_patterns=shape[1], _blocks=blocks)
+    def _hold(self, rows: Sequence, steps: int, blocks: list) -> TraceTable:
+        """Store the one form of a table, whose blocks must name the patterns
+        0..P-1: ``run`` and ``read_trace`` make their tables with this."""
+        patterns = {p for p, _ in blocks}
+        num = len(patterns)
+        if patterns != set(range(num)):
+            raise WrongShape(f"pattern_of must name its {num} patterns 0..{num - 1}")
+        vars(self).update(_rows=rows, num_steps=steps, num_patterns=num, _blocks=blocks)
         return self
 
     @property
     def num_neurons(self) -> int:
         return sum(count for _, count in self._blocks)
 
-    @cached_property
-    def strength(self) -> np.ndarray:
-        import numpy as np
+    @property
+    def strength(self) -> list[list[float]]:
+        """One list of strengths per step, one strength per pattern."""
+        rows, num = self._rows, self.num_patterns
+        return [list(rows[t * num : (t + 1) * num]) for t in range(self.num_steps)]
 
-        return np.array(self._rows, dtype=float).reshape(self.num_steps, self.num_patterns)
-
-    @cached_property
-    def pattern_of(self) -> np.ndarray:
-        import numpy as np
-
-        patterns, counts = np.array(self._blocks, dtype=int).reshape(-1, 2).T
-        return np.repeat(patterns, counts)
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        """Read-only step x neuron matrix: each neuron holds its pattern's strength."""
-        values = self.strength[:, self.pattern_of]
-        values.flags.writeable = False
-        return values
+    @property
+    def pattern_of(self) -> list[int]:
+        """Each neuron's pattern, neurons in order."""
+        return [p for p, count in self._blocks for _ in range(count)]
 
 
 def run(
@@ -238,4 +234,4 @@ def run(
         rows.fromlist(strength)
     # Patterns occupy neighbouring blocks of neurons, in pattern order.
     blocks = [(k, p.size) for k, p in enumerate(spec.patterns)]
-    return object.__new__(TraceTable)._hold(rows, (steps, num), blocks)
+    return object.__new__(TraceTable)._hold(rows, steps, blocks)

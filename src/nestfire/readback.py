@@ -38,7 +38,7 @@ __all__ = [
 GOLDEN_TOLERANCE = 1e-9
 
 FIXTURE_HEADER = "neuron,t3,t4,t5"
-# The labels a trace may hold: numpy's int64.
+# The labels a trace may hold: signed 64-bit integers.
 _INT64 = range(-(1 << 63), 1 << 63)
 # In step 1, where no block's length is known yet, runs start at this many
 # rows and stop below it.
@@ -121,11 +121,8 @@ def read_trace(text: str) -> TraceTable:
     elif neuron != size:
         raise ParseError(f"expected {step * size} rows, got {(step - 1) * size + neuron}")
     rows.extend(map(values.pop, sorted(values)))
-    patterns = {q for q, _, _ in starts[:-1]}
-    if patterns != set(range(1, len(patterns) + 1)):
-        raise WrongShape(f"pattern_of must name each pattern of strength{(step, len(patterns))}")
     blocks = [(q - 1, end - first) for (q, first, _), (_, end, _) in zip(starts, starts[1:])]
-    return object.__new__(TraceTable)._hold(rows, (step, len(patterns)), blocks)
+    return object.__new__(TraceTable)._hold(rows, step, blocks)
 
 
 def pattern_strength(trace: TraceTable, pattern: int, t: int) -> float:
@@ -153,8 +150,10 @@ def compare_grids(actual, expected, tolerance: float = GOLDEN_TOLERANCE) -> Gold
     Every cell whose difference is not <= ``tolerance`` is a mismatch, NaN
     included. ``tolerance`` must be finite and >= 0."""
     (shape, actual), (other, expected) = _grid(actual), _grid(expected)
-    if shape != other or len(shape) != 2:
+    if shape != other:
         raise WrongShape(f"grid shapes disagree: {shape} vs {other}")
+    if len(shape) != 2:
+        raise WrongShape(f"a grid must be 2-D, got shape {shape}")
     if not 0 <= _real(tolerance) < math.inf:
         raise ValidationError(f"tolerance must be finite and >= 0, got {_shown(tolerance)}")
     errors, mismatches = [], []
@@ -266,8 +265,8 @@ def _split(line: str, number: int, header: str) -> list[str]:
 
 def _field(fields: list[str], k: int, number: int) -> float:
     """Field ``k`` of trace line ``number``: a label for k < 3, else a
-    strength. As numpy read them: ASCII between whitespace, with no ``_``,
-    and labels within int64."""
+    strength. A field is ASCII between whitespace, with no ``_``, and a
+    label is a whole number within ``_INT64``."""
     field = fields[k].strip()
     try:
         value = int(field) if k < 3 else float(field)

@@ -120,10 +120,17 @@ def reference_write_trace(trace) -> str:
     """Trace CSV text formatted one f-string per (step, neuron).
 
     The plain writer the library's run-based writer must match byte for
-    byte; numpy appears only in the ``.tolist()`` calls that turn the
-    table into Python numbers.
+    byte. It expands each step's per-pattern strengths to one per neuron
+    itself, through the table's neuron-to-pattern map.
     """
-    return reference_csv(trace.values.tolist(), trace.pattern_of.tolist())
+    return reference_csv(neuron_rows(trace), trace.pattern_of)
+
+
+def neuron_rows(trace) -> list[list[float]]:
+    """A table's per-pattern rows expanded to one strength per neuron,
+    through its neuron-to-pattern map."""
+    pattern_of = trace.pattern_of
+    return [[row[pattern] for pattern in pattern_of] for row in trace.strength]
 
 
 def reference_csv(rows: list[list[float]], pattern_of: list[int]) -> str:

@@ -146,7 +146,7 @@ def test_criterion_5_dynamics_property_suite():
         own = ensemble.excitatory_unit * size * max(0, t - schedule.activation_step[innermost] + 1)
         no_inhibition &= pattern_strength(trace, innermost, t) == own
 
-    non_negative = bool((trace.values >= 0).all())
+    non_negative = bool((np.array(trace.strength) >= 0).all())
     final = [pattern_strength(trace, k, 5) for k in range(5)]
     unique_zero = final[0] == 0.0 and all(v > 0 for v in final[1:])
 

@@ -127,8 +127,8 @@ def test_whole_floats_still_count():
     assert members(SPEC, 2.0) == [4, 5] and ancestors(with_parent(0.0), 1) == [0]
     assert CounterSpec(3.0).depth == 3 and type(CounterSpec(3.0).depth) is int
     assert run(SPEC, Schedule.staggered(3.0), 2.0).num_steps == 2
-    off = [run(SPEC, Schedule.staggered(3), 4, MODE_FREE_RUN, d).strength.tolist() for d in (2, 2.0)]
-    assert off[0] == off[1] != run(SPEC, Schedule.staggered(3), 4, MODE_FREE_RUN).strength.tolist()
+    off = [run(SPEC, Schedule.staggered(3), 4, MODE_FREE_RUN, d).strength for d in (2, 2.0)]
+    assert off[0] == off[1] != run(SPEC, Schedule.staggered(3), 4, MODE_FREE_RUN).strength
 
 
 # ``None``, the default, keeps the drive on: every other junk value is refused.

@@ -173,7 +173,7 @@ def test_count_ticks_match_free_run_first_activations(depth, size, unit, delta):
     Only the first activations are compared: the wind-down after the drive
     is removed depends on the inhibitory weight."""
     spec, schedule = build_linear(depth, size, unit, delta), Schedule.staggered(depth)
-    columns = run(spec, schedule, depth, MODE_FREE_RUN).strength.T.tolist()
+    columns = zip(*run(spec, schedule, depth, MODE_FREE_RUN).strength)
     first_fire = [next((t for t, s in enumerate(col, 1) if s > 0), None) for col in columns]
     levels, _ = run_counter(CounterSpec(depth=depth))
     assert list(levels) == first_fire

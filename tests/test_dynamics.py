@@ -41,6 +41,7 @@ from nestfire import (
 )
 from oracles import (
     expand_to_neurons,
+    neuron_rows,
     reference_csv,
     reference_firing_run,
     reference_firings,
@@ -132,18 +133,18 @@ class TestStep:
 
     def test_standard_chain_after_three_steps(self):
         trace = run(STANDARD, STAGGERED, 3)
-        assert trace.strength[-1].tolist() == [7.5, 7.5, 5.0, 0.0, 0.0]
+        assert trace.strength[-1] == [7.5, 7.5, 5.0, 0.0, 0.0]
 
     def test_zero_inhibition_accumulates_linearly(self):
         spec = build_linear(5, 5, 1.0, 0.0)
         trace = run(spec, STAGGERED, 3)
-        assert trace.strength[-1].tolist()[:3] == [15.0, 10.0, 5.0]
+        assert trace.strength[-1][:3] == [15.0, 10.0, 5.0]
 
     def test_small_chain_matches_reference_loop(self):
         # Derived with oracles.reference_run(3, 2, 1.0, 0.5, [1,2,3], 3)
         spec = build_linear(3, 2, 1.0, 0.5)
         trace = run(spec, Schedule.staggered(3), 3)
-        assert trace.strength[-1].tolist() == [3.0, 3.0, 2.0]
+        assert trace.strength[-1] == [3.0, 3.0, 2.0]
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(SpecMismatch):
@@ -163,7 +164,7 @@ class TestRun:
     def test_trace_matches_reference_loop(self):
         trace = run(STANDARD, STAGGERED, 5)
         expected = expand_to_neurons(reference_run(5, 5, 1.0, 0.5, [1, 2, 3, 4, 5], 5), 5)
-        assert trace.values.tolist() == expected
+        assert neuron_rows(trace) == expected
 
     def test_golden_columns_match_fixture(self):
         trace = run(STANDARD, STAGGERED, 5)
@@ -171,14 +172,15 @@ class TestRun:
 
     def test_first_step_only_first_pattern(self):
         trace = run(STANDARD, STAGGERED, 1)
-        assert trace.values.shape == (1, 25)
-        assert trace.values[0, :5].tolist() == [5.0] * 5
-        assert not trace.values[0, 5:].any()
+        values = np.array(neuron_rows(trace))
+        assert values.shape == (1, 25)
+        assert values[0, :5].tolist() == [5.0] * 5
+        assert not values[0, 5:].any()
 
     def test_single_pattern_never_inhibited(self):
         spec = build_linear(1, 5, 1.0, 0.9)
         trace = run(spec, Schedule.staggered(1), 4)
-        assert trace.values[:, 0].tolist() == [5.0, 10.0, 15.0, 20.0]
+        assert np.array(neuron_rows(trace))[:, 0].tolist() == [5.0, 10.0, 15.0, 20.0]
 
     def test_steps_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -234,15 +236,18 @@ class TestRun:
 
     def test_pattern_of_layout(self):
         trace = run(STANDARD, STAGGERED, 2)
-        assert trace.pattern_of.tolist() == [k for k in range(5) for _ in range(5)]
+        assert trace.pattern_of == [k for k in range(5) for _ in range(5)]
 
     def test_trace_holds_one_strength_per_pattern(self):
         trace = run(STANDARD, STAGGERED, 5)
         expected = reference_run(5, 5, 1.0, 0.5, [1, 2, 3, 4, 5], 5)
-        assert trace.strength.tolist() == expected
-        assert np.array_equal(trace.values, trace.strength[:, trace.pattern_of])
-        with pytest.raises(ValueError):
-            trace.values[0, 0] = 1.0  # read-only: it must not drift from strength
+        assert trace.strength == expected
+        # Each read is a new list: changing one changes no later read.
+        strength, pattern_of = trace.strength, trace.pattern_of
+        strength[0][0], pattern_of[0] = 1.0, 4
+        strength.append([0.0] * 5)
+        assert trace.strength == expected
+        assert trace.pattern_of == [k for k in range(5) for _ in range(5)]
 
 
 @pytest.fixture(scope="module")
@@ -322,12 +327,12 @@ class TestInvariants:
     def test_innermost_receives_no_inhibition(self):
         # Innermost fires from t=5 on; any inhibition would pull it below
         # its own accumulated excitation of 5 per step.
-        innermost = run(STANDARD, STAGGERED, 10).strength[:, 4].tolist()
+        innermost = np.array(run(STANDARD, STAGGERED, 10).strength)[:, 4].tolist()
         assert innermost == [5.0 * max(0, t - 4) for t in range(1, 11)]
 
     def test_non_negativity(self):
         trace = run(STANDARD, STAGGERED, 20)
-        assert (trace.values >= 0).all()
+        assert (np.array(neuron_rows(trace)) >= 0).all()
 
     def test_shutdown_ordering_at_t5(self):
         trace = run(STANDARD, STAGGERED, 5)
@@ -338,17 +343,17 @@ class TestInvariants:
     def test_determinism(self):
         a = run(STANDARD, STAGGERED, 9, MODE_SCHEDULED)
         b = run(STANDARD, STAGGERED, 9, MODE_SCHEDULED)
-        assert a.values.tobytes() == b.values.tobytes()
+        assert np.array(neuron_rows(a)).tobytes() == np.array(neuron_rows(b)).tobytes()
         c = run(STANDARD, STAGGERED, 9, MODE_FREE_RUN)
         d = run(STANDARD, STAGGERED, 9, MODE_FREE_RUN)
-        assert c.values.tobytes() == d.values.tobytes()
+        assert np.array(neuron_rows(c)).tobytes() == np.array(neuron_rows(d)).tobytes()
 
 
 class TestFreeRun:
     def test_matches_scheduled_through_activation_wave(self):
         scheduled = run(STANDARD, STAGGERED, 5, MODE_SCHEDULED)
         free = run(STANDARD, STAGGERED, 5, MODE_FREE_RUN)
-        assert np.array_equal(scheduled.values, free.values)
+        assert np.array_equal(neuron_rows(scheduled), neuron_rows(free))
 
     def test_starvation_winds_down_inward(self):
         # Outermost dies at t=5 and stops firing; each deeper level loses its
@@ -364,19 +369,19 @@ class TestFreeRun:
         assert firing_sets[10] == []
 
     def test_quiescent_state_is_stable(self):
-        strength = run(STANDARD, STAGGERED, 15, MODE_FREE_RUN).strength
+        strength = np.array(run(STANDARD, STAGGERED, 15, MODE_FREE_RUN).strength)
         assert (strength[10:] == strength[-1]).all()
 
     def test_without_drive_nothing_starts(self):
         trace = run(STANDARD, STAGGERED, 5, MODE_FREE_RUN, drive=0)
-        assert not trace.strength.any()
+        assert not np.array(trace.strength).any()
 
     def test_drive_defaults_to_every_step_and_scheduled_runs_ignore_it(self):
-        free = run(STANDARD, STAGGERED, 12, MODE_FREE_RUN).strength.tobytes()
+        free = strength_bytes(run(STANDARD, STAGGERED, 12, MODE_FREE_RUN))
         for drive in (12, 13, 10**400):
-            assert run(STANDARD, STAGGERED, 12, MODE_FREE_RUN, drive).strength.tobytes() == free
-        scheduled = run(STANDARD, STAGGERED, 12).strength.tobytes()
-        assert run(STANDARD, STAGGERED, 12, MODE_SCHEDULED, drive=0).strength.tobytes() == scheduled
+            assert strength_bytes(run(STANDARD, STAGGERED, 12, MODE_FREE_RUN, drive)) == free
+        scheduled = strength_bytes(run(STANDARD, STAGGERED, 12))
+        assert strength_bytes(run(STANDARD, STAGGERED, 12, MODE_SCHEDULED, drive=0)) == scheduled
 
     def test_child_waits_for_parent_gate(self):
         # Child scheduled before its parent ever fires: the gate delays it.
@@ -384,7 +389,7 @@ class TestFreeRun:
         spec = build_linear(2, 2, 1.0, 0.5)
         schedule = Schedule((3, 1))
         trace = run(spec, schedule, 4, MODE_FREE_RUN)
-        assert trace.strength.tolist() == [
+        assert trace.strength == [
             [0.0, 0.0],  # t=1: child gated, parent not due
             [0.0, 0.0],  # t=2
             [2.0, 0.0],  # t=3: parent starts
@@ -417,8 +422,14 @@ class TestFreeRun:
         assert math.ceil(1 + 2 / Fraction(1, 10)) == 21
         assert first_quiet_step(22, 3, 1.0, 0.1) == 44
         spec, schedule = build_linear(22, 3, 1.0, 0.1), Schedule.staggered(22)
-        strength = run(spec, schedule, 47, MODE_FREE_RUN, drive=22).strength
+        strength = np.array(run(spec, schedule, 47, MODE_FREE_RUN, drive=22).strength)
         assert strength[20, 0] == strength[21, 1] == 2.6645352591003757e-15
+
+
+def strength_bytes(trace):
+    """A trace's strengths as the bytes of their doubles, step after step:
+    equal only if every bit is, ``-0.0`` and NaN payloads included."""
+    return array("d", itertools.chain(*trace.strength)).tobytes()
 
 
 def first_quiet_step(depth, size, unit, delta):
@@ -433,7 +444,7 @@ def first_quiet_step(depth, size, unit, delta):
     steps = 2 * depth + 3
     spec, schedule = build_linear(depth, size, unit, delta), Schedule.staggered(depth)
     # rows[t - 1] is step t.
-    rows = run(spec, schedule, steps, MODE_FREE_RUN, drive=depth).strength.tolist()
+    rows = run(spec, schedule, steps, MODE_FREE_RUN, drive=depth).strength
     quiet = next(t for t in range(depth + 1, steps + 1) if rows[t - 1] == rows[t - 2])
     assert all(row == rows[quiet - 1] for row in rows[quiet:])
     return quiet
@@ -451,7 +462,7 @@ def run_against_oracle(case, drive=None):
     sizes, parents, unit, weight, activation, steps, mode = case
     trace = run(forest(sizes, parents, unit, weight), Schedule(activation), steps, mode, drive)
     rows = reference_firing_run(*case, drive)
-    assert trace.strength.tobytes() == array("d", itertools.chain(*rows)).tobytes()
+    assert strength_bytes(trace) == array("d", itertools.chain(*rows)).tobytes()
     return reference_firings(*case, drive)
 
 
@@ -519,7 +530,7 @@ class TestKernelMatchesOracle:
         sizes, parents, unit, weight, activation, steps, mode = case
         trace = run(forest(sizes, parents, unit, weight), Schedule(activation), steps, mode)
         rows = reference_firing_run(*case)
-        assert trace.strength.tobytes() == array("d", itertools.chain(*rows)).tobytes()
+        assert strength_bytes(trace) == array("d", itertools.chain(*rows)).tobytes()
         pattern_of = [k for k, size in enumerate(sizes) for _ in range(size)]
         values = [[row[k] for k in pattern_of] for row in rows]
         assert write_trace(trace) == reference_csv(values, pattern_of)
@@ -546,7 +557,7 @@ class TestFiringLaws:
         schedule = Schedule(activation)
         base = run(forest(sizes, parents, unit, weight), schedule, steps, mode)
         scaled = run(forest(sizes, parents, unit * 2.0**k, weight), schedule, steps, mode)
-        assert scaled.strength.tobytes() == np.ldexp(base.strength, k).tobytes()
+        assert strength_bytes(scaled) == np.ldexp(base.strength, k).tobytes()
 
     @given(forest_runs(), st.integers(1, 4))
     def test_delaying_every_activation_prepends_zero_rows(self, case, c):
@@ -555,7 +566,7 @@ class TestFiringLaws:
         base = run(spec, Schedule(activation), steps, mode)
         later = run(spec, Schedule([t + c for t in activation]), steps + c, mode)
         zeros = np.zeros((c, len(sizes)))
-        assert later.strength.tobytes() == np.vstack([zeros, base.strength]).tobytes()
+        assert strength_bytes(later) == np.vstack([zeros, base.strength]).tobytes()
 
     @given(forest_runs(), forest_runs())
     def test_a_disjoint_tree_with_higher_indices_changes_no_strength(self, case, other):
@@ -566,7 +577,7 @@ class TestFiringLaws:
         joined = forest(sizes + more_sizes, parents + more_parents, unit, weight)
         both = run(joined, Schedule(activation + more_activation), steps, mode)
         base = run(forest(sizes, parents, unit, weight), Schedule(activation), steps, mode)
-        assert both.strength[:, :num].tobytes() == base.strength.tobytes()
+        assert np.array(both.strength)[:, :num].tobytes() == strength_bytes(base)
 
     @given(forest_runs(), st.sampled_from([0.0, 0.3, 1 / 3, 0.7, 1.5, 2.0]))
     def test_more_inhibition_never_raises_a_strength_when_scheduled(self, case, other):
@@ -577,4 +588,4 @@ class TestFiringLaws:
             run(forest(sizes, parents, unit, w), Schedule(activation), steps)
             for w in sorted([weight, other])
         )
-        assert (high.strength <= low.strength).all()
+        assert (np.array(high.strength) <= np.array(low.strength)).all()

@@ -40,7 +40,7 @@ from nestfire import (
     write_trace,
 )
 from nestfire.scenario import WRITE_ROWS
-from oracles import expand_to_neurons, reference_run, reference_write_trace
+from oracles import expand_to_neurons, neuron_rows, reference_run, reference_write_trace
 from test_trace_digests import CASES as DIGEST_CASES
 
 
@@ -319,14 +319,14 @@ class TestTraceSerialization:
 
     def test_round_trip_identity(self, trace):
         recovered = read_trace(write_trace(trace))
-        assert np.array_equal(recovered.values, trace.values)
-        assert np.array_equal(recovered.pattern_of, trace.pattern_of)
+        assert np.array_equal(neuron_rows(recovered), neuron_rows(trace))
+        assert recovered.pattern_of == trace.pattern_of
 
     def test_round_trip_free_run_tail(self):
         ensemble, schedule, _, _ = standard_scenario()
         trace = run(ensemble, schedule, 11, "free_run")
         recovered = read_trace(write_trace(trace))
-        assert np.array_equal(recovered.values, trace.values)
+        assert np.array_equal(neuron_rows(recovered), neuron_rows(trace))
 
     def test_byte_determinism(self, trace):
         assert write_trace(trace) == write_trace(trace)
@@ -379,8 +379,12 @@ class TestTraceSerialization:
             read_trace(text)
 
     def test_pattern_labels_must_not_skip(self):
-        with pytest.raises(WrongShape):
+        message = "^pattern_of must name its 2 patterns 0..1$"
+        with pytest.raises(WrongShape, match=message):
             read_trace("step,neuron,pattern,strength\n1,1,1,0.0\n1,2,3,0.0\n")
+        # The constructor refuses the same map in the same words.
+        with pytest.raises(WrongShape, match=message):
+            TraceTable(strength=[[0.0, 0.0]], pattern_of=[0, 2])
 
     @given(
         depth=st.integers(1, 6),
@@ -397,8 +401,8 @@ class TestTraceSerialization:
         text = write_trace(trace)
         recovered = read_trace(text)
         assert write_trace(recovered) == text
-        assert recovered.strength.tobytes() == trace.strength.tobytes()
-        assert np.array_equal(recovered.pattern_of, trace.pattern_of)
+        assert np.array(recovered.strength).tobytes() == np.array(trace.strength).tobytes()
+        assert recovered.pattern_of == trace.pattern_of
 
 
 TRACE_LIKE_TEXT = st.lists(
@@ -459,7 +463,7 @@ REFUSED_WRITER_CASES = {"complex": ([[1j, -0.0, 0.0]], [0, 0, 1, 2], np.complex1
 
 def check_refused(name):
     strength, pattern_of, dtype = REFUSED_WRITER_CASES[name]
-    with pytest.raises(WrongShape, match="strengths must be integers or floats, got dtype"):
+    with pytest.raises(WrongShape, match="strengths must be integers or floats, got complex"):
         table(strength, pattern_of, dtype=dtype)
 
 # Tables as ``(pattern, count)`` blocks, with blocks that start or end where
@@ -535,6 +539,12 @@ class TestWriterMatchesReference:
     def test_any_table(self, trace):
         assert write_trace(trace) == reference_write_trace(trace)
 
+    @given(trace_tables())
+    def test_lists_make_the_table_arrays_make(self, trace):
+        twin = TraceTable(strength=trace.strength, pattern_of=trace.pattern_of)
+        assert (twin.num_steps, twin.num_patterns) == (trace.num_steps, trace.num_patterns)
+        assert write_trace(twin) == write_trace(trace)
+
     @given(trace_tables(dtypes=(np.float64, np.float32)))
     def test_float_tables_round_trip_as_text(self, trace):
         text = write_trace(trace)
@@ -548,21 +558,41 @@ class TestWriterMatchesReference:
 
     @pytest.mark.parametrize(
         "strength, pattern_of",
-        [(np.zeros(2), np.zeros(2, dtype=int)), (np.zeros((2, 1)), np.zeros((1, 2), dtype=int))],
-        ids=["one-dimensional-strength", "two-dimensional-pattern-of"],
+        [
+            (np.zeros(2), np.zeros(2, dtype=int)),
+            (np.zeros((2, 1)), np.zeros((1, 2), dtype=int)),
+            ([0.0, 0.0], [0, 0]),
+            ([], [[0, 0]]),
+            (0.0, [0]),
+            ([[0.0]], 0),
+            (np.zeros((1, 2)), np.array([0.0, 1.0])),
+        ],
+        ids=[
+            "one-dimensional-strength",
+            "two-dimensional-pattern-of",
+            "one-dimensional-list",
+            "two-dimensional-list-map-without-steps",
+            "number-strength",
+            "number-map",
+            "float-pattern-of",
+        ],
     )
     def test_table_needs_a_matrix_and_a_map(self, strength, pattern_of):
         with pytest.raises(WrongShape):
             TraceTable(strength=strength, pattern_of=pattern_of)
 
     @pytest.mark.parametrize(
-        "strength",
-        [[[1j, -0.0, 0.0]], [[True, False, True]], np.array([["a", "b", "c"]], dtype=object)],
+        "strength, kind",
+        [
+            ([[1j, -0.0, 0.0]], "complex"),
+            ([[True, False, True]], "bool"),
+            (np.array([["a", "b", "c"]], dtype=object), "str"),
+        ],
         ids=["complex", "bool", "object"],
     )
-    def test_table_strengths_must_be_integers_or_floats(self, strength):
+    def test_table_strengths_must_be_integers_or_floats(self, strength, kind):
         # Anything else would write a text that read_trace refuses, or no real strength.
-        with pytest.raises(WrongShape, match="strengths must be integers or floats, got dtype"):
+        with pytest.raises(WrongShape, match=f"strengths must be integers or floats, got {kind}$"):
             TraceTable(strength=np.array(strength), pattern_of=np.array([0, 0, 1, 2]))
 
     @pytest.mark.parametrize(
@@ -572,7 +602,7 @@ class TestWriterMatchesReference:
     )
     def test_complex_table_queries_raise_wrong_shape(self, query, args):
         # A complex table is refused where it is built, before any query can read it.
-        with pytest.raises(WrongShape, match="strengths must be integers or floats, got dtype"):
+        with pytest.raises(WrongShape, match="strengths must be integers or floats, got complex"):
             query(table([[1j, -0.0, 0.0]], [0, 0, 1, 2], dtype=np.complex128), *args)
 
 
@@ -771,8 +801,13 @@ class TestGoldenComparison:
     def test_wrong_shapes_rejected(self, trace):
         with pytest.raises(WrongShape):
             compare_golden(trace, np.zeros((24, 3)))
-        with pytest.raises(WrongShape):
+        with pytest.raises(WrongShape, match=r"^grid shapes disagree: \(2, 2\) vs \(3, 2\)$"):
             compare_grids(np.zeros((2, 2)), np.zeros((3, 2)))
+        # Two empty grids, such as two header-only fixtures, agree but are not 2-D.
+        with pytest.raises(WrongShape, match=r"^a grid must be 2-D, got shape \(0,\)$"):
+            compare_grids([], [])
+        with pytest.raises(WrongShape, match=r"^a grid must be 2-D, got shape \(2, 0, 3\)$"):
+            compare_grids(np.zeros((2, 0, 3)), np.zeros((2, 0, 3)))
 
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0])
     def test_tolerance_must_be_finite_and_non_negative(self, tolerance):

@@ -1,11 +1,11 @@
 """Start-up loads only what a command uses.
 
 ``import nestfire`` binds names on first access, and ``nestfire.cli`` imports
-each other module only when a command calls into it. Only a trace's array
-views import numpy: golden grids are lists of floats, and ``layout`` draws
-its layouts as float pairs from ``random.Random``, so no command loads numpy,
-and ``layout`` runs where numpy is not installed. Nor does ``read_trace`` or
-a golden grid load it. ``simulate`` writes a trace and never loads
+each other module only when a command calls into it. Nothing imports
+numpy: a trace's views and golden grids are lists of floats, and ``layout``
+draws its layouts as float pairs from ``random.Random``, so every command,
+``read_trace``, a golden grid and a trace's views run where numpy is not
+installed, and ``pyproject.toml`` names no runtime dependency. ``simulate`` writes a trace and never loads
 ``readback``, the module that reads one back; ``json`` loads only to parse
 or write a scenario, so
 ``verify-table1`` never loads it. No value class is a dataclass, so no
@@ -150,6 +150,31 @@ def test_run_and_streamed_write_load_no_numpy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "37 False\n0.0 5.0 5 None False\n"
+
+
+def test_trace_views_need_no_numpy():
+    # A None entry in sys.modules makes ``import numpy`` fail as if it were not installed.
+    result = child(
+        "import sys; sys.modules['numpy'] = None\n"
+        "from nestfire import TraceTable, read_trace, run, standard_scenario, write_trace\n"
+        "trace = run(*standard_scenario())\n"
+        "print(trace.strength[-1], trace.pattern_of[::5])\n"
+        "table = TraceTable([[1.0, 2.5], [0.0, -0.0]], [0, 1, 1])\n"
+        "back = read_trace(write_trace(table))\n"
+        "print(back.strength, back.pattern_of, write_trace(back) == write_trace(table))\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "[0.0, 5.0, 7.5, 7.5, 5.0] [0, 1, 2, 3, 4]",
+        "[[1.0, 2.5], [0.0, -0.0]] [0, 1, 1] True",
+    ]
+
+
+def test_package_has_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")  # new in Python 3.11
+    project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == []
+    assert any(need.startswith("numpy") for need in project["optional-dependencies"]["test"])
 
 
 def test_verify_table1_and_read_trace_load_no_numpy():

@@ -81,7 +81,7 @@ def test_keyword_and_positional_constructors_agree():
     ) == EnsembleSpec(patterns, 1.0, 0.5)
     assert Schedule(activation_step=[1]) == Schedule((1,))
     table = TraceTable(strength=np.zeros((1, 1)), pattern_of=np.array([0]))
-    assert table.strength.shape == (1, 1) and table.pattern_of.tolist() == [0]
+    assert table.strength == [[0.0]] and table.pattern_of == [0]
 
 
 def test_fields_are_coerced_to_tuples():
@@ -142,10 +142,10 @@ def test_traces_are_equal_only_to_themselves():
 def test_trace_reprs():
     # The neuron-to-pattern map is left out.
     assert repr(TraceTable(np.zeros((1, 2)), np.array([0, 1, 1]))) == (
-        "TraceTable(strength=array([[0., 0.]]))"
+        "TraceTable(strength=[[0.0, 0.0]])"
     )
     trace = run(build_linear(2, 1, 1.0, 0.5), Schedule((1, 2)), 1)
-    assert repr(trace) == "TraceTable(strength=array([[1., 0.]]))"
+    assert repr(trace) == "TraceTable(strength=[[1.0, 0.0]])"
 
 
 def test_trace_table_checks_its_map():
