@@ -1,9 +1,18 @@
 """Command-line front door. Deterministic, scriptable output: results on
 stdout, diagnostics on stderr. Exit codes: 0 success/pass, 1 verification
-or property failure, 2 invalid input or an input too large for memory."""
+or property failure, 2 invalid input or an input too large for memory.
+
+``main`` is the process entry. At entry it freezes the heap it finds (the
+interpreter's and the imports' objects, none of them garbage), so that no
+later collection, the shutdown ones included, walks them again. At exit it
+settles stdout: output that a closed pipe or a full device refused is
+dropped, so that the flush at shutdown does not fail on it a second time.
+``dispatch`` does neither, since in-process callers own their heap and
+their file descriptors."""
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from importlib import import_module
@@ -43,10 +52,7 @@ def dispatch(argv: list[str]) -> int:
         code = handler(args) or 0  # ``print`` answers --help and --version
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # The reader left early (``| head``): stop quietly. Point stdout at
-        # devnull so that the flush at exit does not fail on the same pipe.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:  # the reader left early (``| head``): stop quietly
         return 0
     except MemoryError:
         print("nestfire: error: out of memory: the input is too large for this process",
@@ -112,7 +118,7 @@ def _usage() -> str:
 
 
 def _cmd_simulate(args) -> int:
-    with open(args.scenario) as scenario:
+    with open(args.scenario, encoding="utf-8") as scenario:  # JSON is UTF-8 (RFC 8259)
         text = scenario.read()
     trace = run(*parse_scenario(text))
     # The trace streams to its destination, which is opened only once the run has succeeded.
@@ -237,7 +243,13 @@ _COMMANDS = {
 
 
 def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
+    gc.freeze()
+    code = dispatch(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except OSError:  # what dispatch could not write: drop it, as the shutdown flush would fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

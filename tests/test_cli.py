@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -11,6 +12,11 @@ import pytest
 import nestfire
 from nestfire import ValidationError, cli, table1_fixture, topology
 from nestfire.cli import dispatch
+
+# The environment of a child whose stdout is block-buffered, as on a terminal
+# or a CI runner, even where the tests themselves run unbuffered.
+BUFFERED = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+TABLE1 = str(resources.files("nestfire") / "data" / "table1.scenario")
 
 HUGE = -int("9" * 401)  # a 401-digit number: no message may print it
 SHORT = "-(over 9 digits)"  # what messages print instead
@@ -529,6 +535,81 @@ class TestEntryPoint:
         err = child.stderr.read()
         child.stderr.close()
         assert (child.wait(), err) == (0, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "args",
+        [["--version"], ["--help"], ["counter", "--depth", "3"], ["layout", "--trials", "2"],
+         ["simulate", "--scenario", TABLE1]],
+        ids=["version", "help", "counter", "layout", "simulate"],
+    )
+    def test_full_stdout_is_one_error_line(self, args):
+        # The buffered output fails once in dispatch, which reports it; main
+        # drops it, so the flush at shutdown does not fail on it again.
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "nestfire", *args],
+                stdout=full, stderr=subprocess.PIPE, env=BUFFERED, text=True,
+            )
+        assert result.returncode == 2
+        assert result.stderr.startswith("nestfire: error: ") and result.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["counter", "simulate"])
+    def test_pipe_closed_after_first_line_is_quiet(self, tmp_path, command):
+        # Each writes far more than a pipe holds, through a buffered stdout.
+        wide = write_scenario_file(tmp_path / "wide.scenario", 5, 1000, 10)
+        flags = {"counter": ["--depth", "20000"], "simulate": ["--scenario", str(wide)]}[command]
+        child = subprocess.Popen(
+            [sys.executable, "-m", "nestfire", command, *flags],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=BUFFERED,
+        )
+        assert child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert (child.wait(), err) == (0, b"")
+
+    def test_scenario_is_utf8_in_any_locale(self, tmp_path, scenario_file):
+        doc = json.loads(scenario_file.read_text())
+        doc["ensemblé"] = 1
+        path = tmp_path / "accented.scenario"
+        path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+        ascii_locale = dict(BUFFERED, PYTHONCOERCECLOCALE="0", LC_ALL="C", PYTHONUTF8="0")
+        result = subprocess.run(
+            [sys.executable, "-m", "nestfire", "simulate", "--scenario", str(path)],
+            capture_output=True, env=ascii_locale,
+        )
+        assert (result.returncode, result.stdout) == (2, b"")
+        # An ASCII stderr escapes the key's last letter.
+        assert result.stderr in (
+            "nestfire: error: unknown key 'ensemblé'\n".encode(),
+            b"nestfire: error: unknown key 'ensembl\\xe9'\n",
+        )
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--version"], ["verify-table1"], ["simulate", "--scenario", TABLE1, "--out", "trace.csv"],
+         ["simulate", "--scenario", TABLE1], ["counter", "--depth", "3"], ["chain", "--hops", "2,2"],
+         ["center", "--weights", "5,2,2"], ["layout", "--trials", "2"]],
+        ids=["version", "verify-table1", "simulate-out", "simulate-head", "counter", "chain",
+             "center", "layout"],
+    )
+    def test_commands_are_quiet_in_dev_mode(self, tmp_path, args):
+        # -X dev shows a file left unclosed and an error ignored at shutdown.
+        args = [str(tmp_path / arg) if arg == "trace.csv" else arg for arg in args]
+        child = subprocess.Popen(
+            [sys.executable, "-X", "dev", "-m", "nestfire", *args],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=BUFFERED,
+        )
+        if args[-1] == TABLE1:  # like ``| head -n 2``
+            lines = [child.stdout.readline(), child.stdout.readline()]
+            child.stdout.close()
+            out, err = b"".join(lines), child.stderr.read()
+            child.stderr.close()
+        else:
+            out, err = child.communicate()
+        assert (child.wait(), err) == (0, b"")
+        assert out or (tmp_path / "trace.csv").stat().st_size
 
     def test_unit_beyond_float_range_exits_2_without_a_traceback(self, tmp_path, scenario_file):
         bad = tmp_path / "bad.scenario"

@@ -12,11 +12,13 @@ or write a scenario, so
 command loads ``dataclasses`` or ``inspect`` either. ``cli`` parses its arguments from a
 table, so no command loads ``argparse`` or ``gettext``. Each check that a
 module stays out runs in a fresh interpreter, since this one has long
-imported it.
+imported it. So do the checks that the process entry freezes the start-up
+heap and that ``cli.dispatch``, which in-process callers use, does not.
 """
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -255,3 +257,39 @@ def test_each_name_is_its_modules_own():
         module = importlib.import_module(f"nestfire.{name}")
         for public in module.__all__:
             assert getattr(nestfire, public) is getattr(module, public), public
+
+
+# Starts nestfire the way its first argument names, ``module`` (``python -m
+# nestfire``) or a ``package.module:function`` console-script target, and
+# reports from an atexit hook, which runs after ``main`` returns, whether any
+# objects were frozen out of the collector's reach.
+FROZEN_AT_EXIT = """
+import atexit, gc, importlib, runpy, sys
+atexit.register(lambda: print(f"frozen={gc.get_freeze_count() > 0}", file=sys.stderr))
+entry = sys.argv.pop(1)
+sys.argv[0] = "nestfire"
+if entry == "module":
+    runpy.run_module("nestfire", run_name="__main__", alter_sys=True)
+module, _, name = entry.partition(":")
+sys.exit(getattr(importlib.import_module(module), name)())
+"""
+
+
+@pytest.mark.parametrize("entry", ["module", "script"])
+def test_process_entry_freezes_the_start_up_heap(entry):
+    if entry == "script":
+        scripts = (SRC.parent / "pyproject.toml").read_text().split("[project.scripts]")[1]
+        entry = re.search(r'^nestfire = "(.+)"$', scripts, re.MULTILINE).group(1)
+    result = child(FROZEN_AT_EXIT, entry, "--version")
+    assert result.returncode == 0
+    assert (result.stdout, result.stderr) == (f"nestfire {nestfire.__version__}\n", "frozen=True\n")
+
+
+def test_dispatch_leaves_the_heap_to_its_caller():
+    result = child(
+        "import gc\n"
+        "from nestfire import cli\n"
+        "code = cli.dispatch(['--version'])\n"
+        "print(code, gc.get_freeze_count(), gc.isenabled())\n"
+    )
+    assert result.stdout == f"nestfire {nestfire.__version__}\n0 0 True\n", result.stderr
