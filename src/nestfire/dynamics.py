@@ -39,7 +39,6 @@ from array import array
 from bisect import bisect_right
 from itertools import groupby
 from operator import add, sub
-from typing import Sequence
 
 from .errors import SpecMismatch, ValidationError, WrongShape
 # bench/tracing.py swaps ``members`` (not called here) and ``ancestors`` (see
@@ -110,7 +109,7 @@ class TraceTable(Frozen):
         blocks = [(p, len(list(block))) for p, block in groupby(labels)]
         self._hold(flat, len(rows), blocks)
 
-    def _hold(self, rows: Sequence, steps: int, blocks: list) -> TraceTable:
+    def _hold(self, rows: list | array, steps: int, blocks: list) -> TraceTable:
         """Store the one form of a table, whose blocks must name the patterns
         0..P-1: ``run`` and ``read_trace`` make their tables with this."""
         patterns = {p for p, _ in blocks}

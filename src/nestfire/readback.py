@@ -12,10 +12,10 @@ public names also resolve through ``scenario``.
 from __future__ import annotations
 
 import math
-import re
+import os
 from array import array
+from collections import namedtuple
 from struct import pack
-from typing import NamedTuple
 
 from .dynamics import TraceTable
 from .errors import OutOfRange, ParseError, ValidationError, WrongShape
@@ -46,21 +46,15 @@ _RUN = 16
 # Neuron i >= 1000 is written as str(i // 1000) and _TAILS[i % 1000]. A run
 # checked at once is at most one thousand, so that it shares a prefix.
 _TAILS = [f"{r:03d}" for r in range(1000)]
-# What str.splitlines ends a line with.
-_BREAK = re.compile("\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
 
 
-class GoldenReport(NamedTuple):
-    """Element-wise comparison result against a golden grid.
+GoldenReport = namedtuple("GoldenReport", "max_abs_error mismatches passed")
+GoldenReport.__doc__ = """Element-wise comparison result against a golden grid.
 
     ``mismatches`` holds (neuron, t, expected, actual) tuples with 1-based
     neuron labels and actual step numbers; ``passed`` is true exactly when
     no element differs by more than the tolerance.
     """
-
-    max_abs_error: float
-    mismatches: tuple[tuple[int, int, float, float], ...]
-    passed: bool
 
 
 def read_trace(text: str) -> TraceTable:
@@ -191,10 +185,9 @@ def golden_table(trace: TraceTable) -> list[list[float]]:
 def table1_fixture() -> list[list[float]]:
     """The shipped 25 x 3 golden grid, exactly as printed in the reference
     strength table."""
-    from importlib import resources
-
-    path = resources.files("nestfire") / "data" / "table1_fixture.csv"
-    return read_golden_fixture(path.read_text())
+    # Through the package's own loader, which also reads from a zip.
+    path = os.path.join(os.path.dirname(__file__), "data", "table1_fixture.csv")
+    return read_golden_fixture(__spec__.loader.get_data(path).decode("utf-8"))
 
 
 def read_golden_fixture(text: str) -> list[list[float]]:
@@ -251,8 +244,13 @@ def _header(text: str, header: str) -> tuple[int, int]:
 def _line(text: str, pos: int) -> tuple[str, int]:
     """The line of ``text`` that starts at ``pos``, cut where str.splitlines
     cuts it, and where the next line starts."""
-    found = _BREAK.search(text, pos)
-    return (text[pos : found.start()], found.end()) if found else (text[pos:], len(text))
+    # Cut the first line of a chunk of the text. While that line fills the
+    # chunk and the text goes on, the line may too (or its "\r" may have its
+    # "\n" next): the chunk doubles.
+    size = 64
+    while len(line := text[pos : pos + size].splitlines(True)[0]) == size < len(text) - pos:
+        size *= 2
+    return line.splitlines()[0], pos + len(line)
 
 
 def _split(line: str, number: int, header: str) -> list[str]:

@@ -18,7 +18,8 @@ documents that parse but violate a domain invariant raise ValidationError.
 from __future__ import annotations
 
 import sys
-from typing import NamedTuple, TextIO
+from collections import namedtuple
+from io import TextIOBase
 
 from .dynamics import MODE_FREE_RUN, MODE_SCHEDULED, Schedule, TraceTable
 from .errors import ParseError, ValidationError
@@ -37,11 +38,7 @@ _MODES = (MODE_SCHEDULED, MODE_FREE_RUN)
 WRITE_ROWS = 4096
 
 
-class Scenario(NamedTuple):
-    ensemble: EnsembleSpec
-    schedule: Schedule
-    steps: int
-    mode: str
+Scenario = namedtuple("Scenario", "ensemble schedule steps mode")
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -163,7 +160,7 @@ def standard_scenario() -> Scenario:
     )
 
 
-def write_trace(trace: TraceTable, out: TextIO | None = None) -> str | None:
+def write_trace(trace: TraceTable, out: TextIOBase | None = None) -> str | None:
     """Long-form CSV: one row per (step, neuron), 1-based labels, shortest
     round-trip decimals, deterministic bytes. Each pattern has its strength
     formatted once per step.

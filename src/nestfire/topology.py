@@ -16,9 +16,9 @@ output and CLI reports.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import cached_property
 from itertools import accumulate
-from typing import NamedTuple
 
 from .errors import InvalidDimension, UnknownPattern, ValidationError
 
@@ -36,12 +36,8 @@ __all__ = [
 MAX_ROWS = 10**7
 
 
-class PatternSpec(NamedTuple):
-    """One pattern: its index, optional enclosing pattern, and neuron count."""
-
-    id: int
-    parent: int | None
-    size: int
+PatternSpec = namedtuple("PatternSpec", "id parent size")
+PatternSpec.__doc__ = "One pattern: its index, optional enclosing pattern, and neuron count."
 
 
 class Frozen:

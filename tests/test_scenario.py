@@ -39,7 +39,8 @@ from nestfire import (
     write_scenario,
     write_trace,
 )
-from nestfire.scenario import WRITE_ROWS
+from nestfire.readback import FIXTURE_HEADER
+from nestfire.scenario import TRACE_HEADER, WRITE_ROWS
 from oracles import expand_to_neurons, neuron_rows, reference_run, reference_write_trace
 from test_trace_digests import CASES as DIGEST_CASES
 
@@ -912,3 +913,35 @@ class TestFixtureFile:
             read_golden_fixture("neuron,t3,t4,t5\n2,0.0,0.0,0.0\n")
         with pytest.raises(ParseError):
             read_golden_fixture("neuron,t3,t4,t5\n1,0.0,0.0\n")
+
+
+
+# Every line end str.splitlines knows; "\r\n" is one.
+LINE_END = st.sampled_from(
+    ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+
+
+@pytest.mark.parametrize(
+    "read, header, row, bad, values",
+    [
+        (read_golden_fixture, FIXTURE_HEADER, "{n},{pad}7.5,5,0", "3,x,0,0", [[7.5, 5.0, 0.0]] * 3),
+        (read_trace, TRACE_HEADER, "1,{n},1,{pad}7.5", "1,3,1,x", [[7.5]]),
+    ],
+    ids=["fixture", "trace"],
+)
+@given(
+    ends=st.lists(st.lists(LINE_END, min_size=1, max_size=3).map("".join), min_size=4, max_size=4),
+    pads=st.lists(st.integers(0, 300), min_size=3, max_size=3),
+)
+def test_readers_end_lines_where_splitlines_does(read, header, row, bad, values, ends, pads):
+    # Two or three ends in a row make blank lines, which count; padded cells
+    # make lines of up to about 300 characters.
+    rows = [row.format(n=n, pad=" " * pad) for n, pad in enumerate(pads, 1)]
+    got = read("".join(map(str.__add__, [header, *rows], ends)))
+    assert getattr(got, "strength", got) == values
+    text = "".join(map(str.__add__, [header, *rows[:2], bad], ends))
+    with pytest.raises(ParseError) as info:
+        read(text)
+    line = text.splitlines().index(bad) + 1
+    assert str(info.value) == f"line {line}: expected fields {header}, got {bad!r}"

@@ -21,6 +21,7 @@ from nestfire import (
     Phase,
     Route,
     RouteSet,
+    Scenario,
     Schedule,
     TraceTable,
     ValidationError,
@@ -28,6 +29,7 @@ from nestfire import (
     WrongShape,
     build_linear,
     run,
+    standard_scenario,
     start,
     stigmergy_reinforce,
 )
@@ -51,6 +53,12 @@ VALUES = {
         lambda: GoldenReport(0.5, ((1, 3, 1.0, 1.5),), False),
         "GoldenReport(max_abs_error=0.5, mismatches=((1, 3, 1.0, 1.5),), passed=False)",
     ),
+    "scenario": (
+        lambda: Scenario(build_linear(1, 2, 1.0, 0.5), Schedule([1]), 3, "scheduled"),
+        "Scenario(ensemble=EnsembleSpec(patterns=(PatternSpec(id=0, parent=None, size=2),),"
+        " excitatory_unit=1.0, inhibitory_weight=0.5), schedule=Schedule(activation_step=(1,)),"
+        " steps=3, mode='scheduled')",
+    ),
 }
 
 
@@ -62,6 +70,31 @@ def test_equal_values_compare_and_hash_equal(make, text):
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
     assert repr(a) == text
+
+
+# The named tuples: their fields in order, and how their docstrings start.
+NAMED_TUPLES = {
+    "pattern": (PatternSpec, ("id", "parent", "size"), "One pattern: its index,"),
+    "scenario": (
+        Scenario,
+        ("ensemble", "schedule", "steps", "mode"),
+        "Scenario(ensemble, schedule, steps, mode)",
+    ),
+    "report": (
+        GoldenReport,
+        ("max_abs_error", "mismatches", "passed"),
+        "Element-wise comparison result against a golden grid.",
+    ),
+}
+
+
+@pytest.mark.parametrize("cls, fields, doc", NAMED_TUPLES.values(), ids=NAMED_TUPLES.keys())
+def test_named_tuples_keep_their_fields(cls, fields, doc):
+    assert cls._fields == fields and cls.__doc__.startswith(doc)
+    value = cls(*fields)
+    assert value == fields and tuple(value) == fields and hash(value) == hash(fields)
+    assert cls(**dict(zip(fields, fields))) == value
+    assert [getattr(value, name) for name in fields] == list(fields)
 
 
 def test_values_differ_by_field():
@@ -117,6 +150,7 @@ def _objects():
         "schedule": (Schedule((1, 2)), "activation_step"),
         "trace": (run(spec, Schedule((1, 2)), 2), "strength"),
         "report": (GoldenReport(0.0, (), True), "passed"),
+        "scenario": (standard_scenario(), "steps"),
     }
 
 
