@@ -3,7 +3,8 @@
 # network: without-numpy.sh, the workflow's console-script lines as
 # `python -m nestfire`, a byte comparison of the table1 trace with 3.11's,
 # and the test modules that need no numpy. Then it reports, per interpreter,
-# what ran, what passed and what could not start.
+# what ran, what passed and what could not start, and names the test modules
+# it left out.
 # Usage: .github/scripts/matrix-local.sh DIR [PYTHON...]
 # DIR takes a log and the files the checks write, per interpreter. The
 # interpreters default to pyenv's 3.10 to 3.13. pytest and hypothesis come
@@ -44,8 +45,9 @@ for name in dists:  # their metadata, and entry points such as hypothesis's pyte
         shutil.copytree(info, os.path.join(sys.argv[1], os.path.basename(info)), ignore=ignore)
 EOF
 
-# The test modules that import no numpy.
+# The test modules that import no numpy, and the ones left out because they do.
 modules=$(grep -L -E '^(import|from) numpy' tests/test_*.py)
+left_out=$(grep -l -E '^(import|from) numpy' tests/test_*.py | xargs -r -n 1 basename)
 # The workflow's console-script lines, each `nestfire` as `"$PY" -m nestfire`.
 console=$(sed -n '/- name: Console script/,/- name:/p' .github/workflows/tests.yml \
     | sed -n '/run: |/,$p' | sed '1d;$d' | grep -v 'pip install' | sed 's/^ *//' \
@@ -111,5 +113,6 @@ for line in "${report[@]}"; do
     [[ $line == *FAILED* || $line == *DIFFERS* || $line == *" failed"* || $line == *" error"* ]] && status=1
     echo "$line"
 done
+echo "tests left out, since they import numpy:" $left_out
 echo "logs: $dir/<version>/log and tests.log"
 exit $status

@@ -46,7 +46,6 @@ class CounterSpec(Frozen):
     """Chain depth: at least 1 (else InvalidDepth), and at most
     ``topology.MAX_ROWS``, since the command prints one line per level."""
 
-    _fields = ("depth",)
     depth: int
 
     def _check(self) -> None:
@@ -59,7 +58,6 @@ class CounterState(Frozen):
     """Counter snapshot: ``counted`` is the levels counted so far, level k at
     tick k; ``level`` is set only while cascading."""
 
-    _fields = ("phase", "level", "tick", "counted")
     phase: Phase
     level: int | None
     tick: int

@@ -60,7 +60,6 @@ MODE_FREE_RUN = "free_run"
 class Schedule(Frozen):
     """First firing step t_k for every pattern (steps are 1-based)."""
 
-    _fields = ("activation_step",)
     activation_step: tuple[int, ...]
 
     def _check(self) -> None:
@@ -86,7 +85,7 @@ class TraceTable(Frozen):
     equal only to themselves; the repr shows the strengths.
     """
 
-    _fields = ("strength",)
+    _fields = ("strength",)  # a view, which no annotation names
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__

@@ -54,7 +54,6 @@ class HopSpec(Frozen):
     ``threshold`` units have accumulated.
     """
 
-    _fields = ("distance", "attenuation", "threshold", "impulse")
     distance: float
     attenuation: float
     threshold: float
@@ -80,7 +79,6 @@ class HopSpec(Frozen):
 class ChainSpec(Frozen):
     """A line of neurons; hop h connects neuron h to neuron h+1."""
 
-    _fields = ("hops",)
     hops: tuple[HopSpec, ...]
 
     def _check(self) -> None:
@@ -92,7 +90,6 @@ class ChainSpec(Frozen):
 class WeightChain(Frozen):
     """Per-hop required firing counts along a line of neurons."""
 
-    _fields = ("weights",)
     weights: tuple[int, ...]
 
     def _check(self) -> None:
@@ -202,7 +199,6 @@ class GroupLayout(Frozen):
     """Planar node positions of one group, as ``(x, y)`` floats, plus its
     designated terminal node."""
 
-    _fields = ("nodes", "terminal")
     nodes: tuple[tuple[float, float], ...]
     terminal: int
 
@@ -240,7 +236,6 @@ class GroupLayout(Frozen):
 class LayoutSpec(Frozen):
     """Two node groups whose terminals face (or shun) each other."""
 
-    _fields = ("group_a", "group_b")
     group_a: GroupLayout
     group_b: GroupLayout
 
@@ -305,7 +300,6 @@ def random_mirrored_layout(
 class Route(Frozen):
     """One candidate path with its accumulated reinforcement trace."""
 
-    _fields = ("length", "reinforcement")
     length: float
     reinforcement: float = 0.0
 
@@ -320,7 +314,6 @@ class Route(Frozen):
 class RouteSet(Frozen):
     """Competing routes between the same two endpoints."""
 
-    _fields = ("routes",)
     routes: tuple[Route, ...]
 
     def _check(self) -> None:

@@ -64,15 +64,15 @@ def read_trace(text: str) -> TraceTable:
     1..P (else WrongShape)."""
     # Step 1 lays out the neurons, and later steps must repeat its blocks:
     # ``starts`` holds them as (pattern, first neuron, label text). After each
-    # row, the rows that repeat it but for the neuron are checked a run at a
-    # time, written out as write_trace writes them and compared with the text;
-    # the run doubles while it matches and halves when it does not.
+    # row, the rows that repeat it but for the neuron, its ending included, are
+    # checked a run at a time against the text, which must not go on with the
+    # "\n" of a "\r\n"; the run doubles while it matches and halves when not.
     rows, values, starts = array("d"), {}, []
     step, neuron, size, block, limit, label = 1, 0, 0, 0, 0, 0
     step_text, pattern_text = "1", None
     number, pos = _header(text, TRACE_HEADER)
     while pos < len(text):
-        (line, pos), number = _line(text, pos), number + 1
+        (line, pos), number, start = _line(text, pos), number + 1, pos
         if not line:
             continue
         fields, neuron = _split(line, number, TRACE_HEADER), neuron + 1
@@ -98,13 +98,13 @@ def read_trace(text: str) -> TraceTable:
         first = values.setdefault(label, strength)
         if first is not strength and pack("d", first) != pack("d", strength):
             raise ParseError(f"line {number}: pattern {label} members disagree at step {step}")
-        run = len(_TAILS) if size else _RUN
+        run, ending = len(_TAILS) if size else _RUN, text[start + len(line) : pos]
         while (many := min(run, limit - 1 - neuron) if size else run) >= (1 if size else _RUN):
-            (k, r), tail = divmod(neuron + 1, len(_TAILS)), f",{pattern_text},{v}\n"
+            (k, r), tail = divmod(neuron + 1, len(_TAILS)), f",{pattern_text},{v}{ending}"
             many, lead = min(many, len(_TAILS) - r), f"{step_text},{k or ''}"
             names = _TAILS[r : r + many] if k else map(str, range(r, r + many))
             expected = lead + (tail + lead).join(names) + tail
-            if text.startswith(expected, pos):
+            if text.startswith(expected, pos) and not text.startswith("\r\n", pos + len(expected) - 1):
                 pos, number, neuron = pos + len(expected), number + many, neuron + many
                 run = min(2 * run, len(_TAILS))
             else:

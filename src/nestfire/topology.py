@@ -41,27 +41,30 @@ PatternSpec.__doc__ = "One pattern: its index, optional enclosing pattern, and n
 
 
 class Frozen:
-    """Base of the immutable value classes. The constructor binds the
-    attributes ``_fields`` names, by position or keyword; a field left out
-    takes the class attribute of its name as its default. It then calls
-    ``_check``, which may validate the fields and coerce them. The fields
-    make the repr, ``==`` and the hash."""
+    """Base of the immutable value classes. Their fields are the names a
+    subclass's own body annotates, in order, unless it sets ``_fields``. The
+    constructor binds them by position or keyword; a field left out takes
+    the class attribute of its name as its default. It then calls
+    ``_check``, which may validate and coerce the fields. The fields make
+    the repr, ``==`` and the hash."""
 
     _fields: tuple[str, ...] = ()
 
+    def __init_subclass__(cls) -> None:
+        if "_fields" not in vars(cls):  # the class's own annotations, never a base's
+            cls._fields = tuple(vars(cls).get("__annotations__", ()))
+
     def __init__(self, *args, **kwargs) -> None:
-        fields = self._fields
-        if kwargs or len(args) != len(fields):
-            cls, given = type(self), {**dict(zip(fields, args)), **kwargs}
-            if (
-                len(given) != len(args) + len(kwargs)  # too many, or one given twice
-                or not given.keys() <= set(fields)
-                or not all(name in given or hasattr(cls, name) for name in fields)
-            ):
-                raise TypeError(f"{cls.__name__}() takes the arguments {', '.join(fields)}")
-            args = [given[name] if name in given else getattr(cls, name) for name in fields]
-        for name, value in zip(fields, args):
-            object.__setattr__(self, name, value)
+        cls, fields = type(self), self._fields
+        given = {**dict(zip(fields, args)), **kwargs}
+        if (
+            len(given) != len(args) + len(kwargs)  # too many, or one given twice
+            or not given.keys() <= set(fields)
+            or not all(name in given or hasattr(cls, name) for name in fields)
+        ):
+            raise TypeError(f"{cls.__name__}() takes the arguments {', '.join(fields)}")
+        for name in fields:
+            object.__setattr__(self, name, given[name] if name in given else getattr(cls, name))
         self._check()
 
     def _check(self) -> None:
@@ -101,7 +104,6 @@ class EnsembleSpec(Frozen):
     faults. Instances are immutable and safe to share.
     """
 
-    _fields = ("patterns", "excitatory_unit", "inhibitory_weight")
     patterns: tuple[PatternSpec, ...]
     excitatory_unit: float
     inhibitory_weight: float

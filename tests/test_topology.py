@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import nestfire.counter  # loaded, so that Frozen.__subclasses__() lists their value classes
+import nestfire.energy
 from nestfire import (
     EnsembleSpec,
     InvalidDimension,
     PatternSpec,
+    TraceTable,
     UnknownPattern,
     ValidationError,
     ancestors,
@@ -17,6 +20,7 @@ from nestfire import (
     members,
     validate,
 )
+from nestfire.topology import Frozen
 from oracles import reaches_root
 
 
@@ -202,3 +206,53 @@ def test_linear_chain_properties(depth, size):
         seen.extend(members(spec, k))
     # membership partitions the neurons
     assert seen == list(range(spec.num_neurons))
+
+
+# The value classes of every module, and the one that names its fields itself:
+# its ``strength`` is a view, not an annotated field.
+VALUE_CLASSES = [cls for cls in Frozen.__subclasses__() if cls.__module__.startswith("nestfire.")]
+OWN_FIELDS = {TraceTable: ("strength",)}
+
+
+class TestFieldRule:
+    """A Frozen subclass's fields are the names its own body annotates, in
+    order, unless it sets ``_fields``."""
+
+    @pytest.mark.parametrize("cls", VALUE_CLASSES, ids=lambda cls: cls.__name__)
+    def test_fields_are_the_annotated_names(self, cls):
+        annotated = tuple(vars(cls).get("__annotations__", ()))
+        assert cls._fields == OWN_FIELDS.get(cls, annotated) != ()
+
+    def test_there_are_twelve_value_classes(self):
+        assert len(VALUE_CLASSES) == 12
+
+    def test_fields_set_by_the_class_are_kept(self):
+        class Pair(Frozen):
+            _fields = ("second", "first")
+            first: int
+            second: int = 2
+
+        assert Pair._fields == ("second", "first")
+        assert repr(Pair(1, 3)).endswith("Pair(second=1, first=3)")
+        assert Pair(first=3) == Pair(2, 3)
+
+    def test_annotated_fields_bind_in_order_with_defaults(self):
+        class Pair(Frozen):
+            first: int
+            second: int = 2
+
+        assert Pair._fields == ("first", "second")
+        assert Pair(1) == Pair(1, 2) == Pair(second=2, first=1) == Pair(1, second=2)
+        assert repr(Pair(1)).endswith("Pair(first=1, second=2)")
+        message = r"^Pair\(\) takes the arguments first, second$"
+        for args, kwargs in [((), {}), ((1, 2, 3), {}), ((1,), {"first": 1}), ((1,), {"third": 3})]:
+            with pytest.raises(TypeError, match=message):
+                Pair(*args, **kwargs)
+
+    def test_a_class_that_annotates_nothing_has_no_fields(self):
+        class Empty(Frozen):
+            size = 3
+
+        assert Empty._fields == () and Empty() == Empty() and Empty().size == 3
+        with pytest.raises(TypeError, match=r"^Empty\(\) takes the arguments $"):
+            Empty(3)
