@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # Runs CI's checks on each installed interpreter that can run them, with no
-# network: without-numpy.sh, the workflow's console-script lines as
-# `python -m nestfire`, a byte comparison of the table1 trace with 3.11's,
-# and the test modules that need no numpy. Then it reports, per interpreter,
-# what ran, what passed and what could not start, and names the test modules
-# it left out.
+# network: console.sh as `python -m nestfire`, a byte comparison of the
+# table1 trace with 3.11's, and the test modules that need no numpy. Then it
+# reports, per interpreter, what ran, what passed and what could not start,
+# and names the test modules it left out.
 # Usage: .github/scripts/matrix-local.sh DIR [PYTHON...]
 # DIR takes a log and the files the checks write, per interpreter. The
 # interpreters default to pyenv's 3.10 to 3.13. pytest and hypothesis come
@@ -48,10 +47,6 @@ EOF
 # The test modules that import no numpy, and the ones left out because they do.
 modules=$(grep -L -E '^(import|from) numpy' tests/test_*.py)
 left_out=$(grep -l -E '^(import|from) numpy' tests/test_*.py | xargs -r -n 1 basename)
-# The workflow's console-script lines, each `nestfire` as `"$PY" -m nestfire`.
-console=$(sed -n '/- name: Console script/,/- name:/p' .github/workflows/tests.yml \
-    | sed -n '/run: |/,$p' | sed '1d;$d' | grep -v 'pip install' | sed 's/^ *//' \
-    | sed -E 's/(^|; )nestfire /\1"$PY" -m nestfire /')
 
 report=()
 reference=
@@ -61,19 +56,13 @@ for py in "$@"; do
         continue
     }
     out="$dir/$version"
-    rm -rf "$out" && mkdir -p "$out/bin"
-    ln -s "$py" "$out/bin/python"
+    rm -rf "$out" && mkdir -p "$out"
     ln -s "$repo/src" "$out/src"
     log="$out/log"
     line="$version:"
 
-    if PATH="$out/bin:$PATH" .github/scripts/without-numpy.sh "$out/without-numpy" >>"$log" 2>&1; then
-        line+=" without-numpy passed;"
-    else
-        line+=" without-numpy FAILED;"
-    fi
-
-    if (cd "$out" && PY="$py" PYTHONPATH=src bash -eo pipefail -c "$console") >>"$log" 2>&1; then
+    if (cd "$out" && PYTHONPATH=src "$repo/.github/scripts/console.sh" "$py" -m nestfire) \
+        >>"$log" 2>&1; then
         line+=" console passed;"
     else
         line+=" console FAILED;"

@@ -122,7 +122,7 @@ def _cmd_simulate(args) -> int:
         text = scenario.read()
     trace = run(*parse_scenario(text))
     # The trace streams to its destination, which is opened only once the run has succeeded.
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w") as out:
             write_trace(trace, out)
     else:

@@ -100,6 +100,15 @@ class TestSimulate:
         assert dispatch(["simulate", "--scenario", str(tmp_path / "nope.scenario")]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--out", ""], ["--out="]], ids=["spaced", "equals"])
+    def test_empty_out_path_is_invalid_input(self, capsys, scenario_file, flag):
+        # An empty path names no file, as with --scenario; it does not mean stdout.
+        assert dispatch(["simulate", "--scenario", str(scenario_file), *flag]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("nestfire: error:") and err.endswith(": ''\n")
+        assert err.count("\n") == 1
+
     def test_bad_scenario_is_invalid_input(self, capsys, tmp_path):
         bad = tmp_path / "bad.scenario"
         bad.write_text('{"ensemble": {}}')

@@ -1,7 +1,7 @@
 """Commands whose memory stays bounded run within a fixed address space.
 
 Each case runs ``python -m nestfire`` in a child whose ``RLIMIT_AS`` is set
-before it starts, with the limits of ``.github/scripts/without-numpy.sh``:
+before it starts. Its cases and their limits:
 - a depth-8000 chain firing all at once, one step, in 200 000 KiB: the
   kernel's memory is linear in the depth;
 - one pattern of 2 000 000 neurons over 2 steps, in 100 000 KiB: the trace

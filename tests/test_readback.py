@@ -5,13 +5,25 @@ it but for the neuron are written out and compared with the text in one go.
 Each run repeats the line ending of the row it follows, so a trace written with
 ``"\\r"`` or ``"\\r\\n"`` reads in about as few steps as one with ``"\\n"``,
 and a corrupted row is reported at its own line number whatever the endings.
-This module imports no numpy.
+A free run in which patterns stop firing reads back to the text it was
+written as, and each pattern's return to zero is a step where its strength
+drops to 0.0. This module imports no numpy.
 """
 
 import pytest
 
-from nestfire import ParseError, Schedule, build_linear, read_trace, run, write_trace
+from nestfire import (
+    ParseError,
+    Schedule,
+    build_linear,
+    first_zero_step,
+    pattern_strength,
+    read_trace,
+    run,
+    write_trace,
+)
 from nestfire import readback
+from oracles import reference_firings
 
 ENDINGS = ["\n", "\r", "\r\n"]
 MIXED = ["\n", "\r", "\r\n", "\r", "\r", "\r\n", "\n"]
@@ -81,3 +93,21 @@ def test_runs_read_most_rows(monkeypatch, ending):
     table = read_trace(text)
     rows = table.num_steps * table.num_neurons
     assert rows == 16000 and len(calls) < rows // 100
+
+
+def test_a_shrinking_free_run_reads_back():
+    # At weight 0.3 the outer patterns are inhibited to zero and stop firing,
+    # so on some steps the firing list is no prefix of the step before's and
+    # the kernel sums its inhibition anew.
+    depth, steps = 20, 40
+    chain = [2] * depth, [None, *range(depth - 1)], 1.0, 0.3, [*range(1, depth + 1)]
+    firings = reference_firings(*chain, steps, "free_run")
+    assert any(now[: len(last)] != last for last, now in zip(firings, firings[1:]))
+    spec, schedule = build_linear(depth, 2, 1.0, 0.3), Schedule.staggered(depth)
+    text = write_trace(run(spec, schedule, steps, "free_run"))
+    table = read_trace(text)
+    assert write_trace(table) == text
+    zeros = [first_zero_step(table, k) for k in range(depth)]
+    assert any(zeros)
+    for k, t in enumerate(zeros):
+        assert t is None or pattern_strength(table, k, t) == 0.0 < pattern_strength(table, k, t - 1)

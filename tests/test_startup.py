@@ -5,7 +5,9 @@ each other module only when a command calls into it. Nothing imports
 numpy: a trace's views and golden grids are lists of floats, and ``layout``
 draws its layouts as float pairs from ``random.Random``, so every command,
 ``read_trace``, a golden grid and a trace's views run where numpy is not
-installed, and ``pyproject.toml`` names no runtime dependency. ``simulate`` writes a trace and never loads
+installed, and ``pyproject.toml`` names no runtime dependency. Each module's
+syntax tree has no ``import numpy`` anywhere, so the paths no command runs
+need no numpy either. ``simulate`` writes a trace and never loads
 ``readback``, the module that reads one back; ``json`` loads only to parse
 or write a scenario, so
 ``verify-table1`` never loads it. No value class is a dataclass, so no
@@ -21,6 +23,7 @@ entry freezes the start-up heap and that ``cli.dispatch``, which in-process
 callers use, does not.
 """
 
+import ast
 import importlib
 import os
 import re
@@ -170,10 +173,10 @@ def test_run_and_streamed_write_load_no_numpy():
         # The README example, and the other per-pattern reader.
         "trace = run(build_linear(5, 5, 1.0, 0.5), Schedule.staggered(5), 5)\n"
         "print(pattern_strength(trace, 0, 5), pattern_strength(trace, 4, 5),"
-        " first_zero_step(trace, 0), first_zero_step(trace, 4), 'numpy' in sys.modules)\n"
+        " [first_zero_step(trace, k) for k in range(5)], 'numpy' in sys.modules)\n"
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "37 False\n0.0 5.0 5 None False\n"
+    assert result.stdout == "37 False\n0.0 5.0 [5, None, None, None, None] False\n"
 
 
 def test_trace_views_need_no_numpy():
@@ -199,6 +202,34 @@ def test_package_has_no_runtime_dependency():
     project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]
     assert project["dependencies"] == []
     assert any(need.startswith("numpy") for need in project["optional-dependencies"]["test"])
+
+
+def numpy_imports(source: str) -> list[int]:
+    """The lines of ``source`` that import numpy or a submodule of it, at any depth."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.partition(".")[0] == "numpy" for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_module_imports_numpy():
+    nested = (
+        "import numpyish, os\nfrom .numpy import x\n"
+        "def f():\n    if x:\n        import os, numpy.linalg as la\n"
+        "    class C:\n        from numpy import array\n"
+    )
+    assert numpy_imports(nested) == [5, 7]
+    sources = {path.stem: path.read_text() for path in (SRC / "nestfire").glob("*.py")}
+    assert {*MODULES, "cli", "__init__", "__main__"} <= set(sources)
+    found = {name: numpy_imports(text) for name, text in sources.items()}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def test_verify_table1_and_read_trace_load_no_numpy():
