@@ -20,7 +20,7 @@ from itertools import accumulate
 from operator import mul
 
 from .errors import AttenuatedOut, DegenerateLayout, OutOfRange, ValidationError
-from .topology import Frozen, _real, _shown, _whole, brief
+from .topology import Frozen, _finite, _real, _shown, _whole
 
 __all__ = [
     "HopSpec",
@@ -60,15 +60,10 @@ class HopSpec(Frozen):
     impulse: float
 
     def _check(self) -> None:
-        _check_finite(**vars(self))
-        if self.distance < 0:
-            raise ValidationError(f"distance must be >= 0, got {self.distance}")
-        if self.attenuation < 0:
-            raise ValidationError(f"attenuation must be >= 0, got {self.attenuation}")
-        if self.threshold <= 0:
-            raise ValidationError(f"threshold must be > 0, got {self.threshold}")
-        if self.impulse <= 0:
-            raise ValidationError(f"impulse must be > 0, got {self.impulse}")
+        _finite(self.distance, "distance", 0)
+        _finite(self.attenuation, "attenuation", 0)
+        _finite(self.threshold, "threshold", 0, strict=True)
+        _finite(self.impulse, "impulse", 0, strict=True)
 
     @property
     def arriving(self) -> float:
@@ -93,12 +88,10 @@ class WeightChain(Frozen):
     weights: tuple[int, ...]
 
     def _check(self) -> None:
-        weights = tuple(_whole(w, f"weight {k}") for k, w in enumerate(self.weights))
+        weights = tuple(_whole(w, f"weight {k}", 1) for k, w in enumerate(self.weights))
         object.__setattr__(self, "weights", weights)
         if not self.weights:
             raise ValidationError("a weight chain needs at least one hop")
-        if any(w < 1 for w in self.weights):
-            raise ValidationError(f"all weights must be >= 1, got {brief(min(self.weights))}")
 
     @property
     def num_positions(self) -> int:
@@ -115,7 +108,7 @@ class WeightChain(Frozen):
 
 def required_output(hop: HopSpec, downstream_demand: float) -> float:
     """Output the feeder must emit so ``downstream_demand`` survives the hop."""
-    _check_finite(downstream_demand=downstream_demand)
+    _finite(downstream_demand, "downstream_demand")
     return downstream_demand + hop.distance * hop.attenuation
 
 
@@ -174,7 +167,7 @@ def event_oracle(chain: ChainSpec) -> int:
 
 def hops_from_weights(chain: WeightChain, impulse: float = 1.0) -> ChainSpec:
     """Zero-distance chain whose per-hop requirement equals each weight."""
-    _check_finite(impulse=impulse)  # before it multiplies: 2 * "x" is "xx"
+    _finite(impulse, "impulse")  # before it multiplies: 2 * "x" is "xx"
     try:
         thresholds = [w * impulse for w in chain.weights]
     except OverflowError:
@@ -212,10 +205,7 @@ class GroupLayout(Frozen):
         if not all(math.isfinite(v) for node in nodes for v in node):
             raise ValidationError("node positions must be finite")
         object.__setattr__(self, "nodes", nodes)
-        terminal = _whole(self.terminal, "terminal")
-        object.__setattr__(self, "terminal", terminal)
-        if not 0 <= terminal < len(nodes):
-            raise ValidationError(f"terminal {brief(terminal)} not among the {len(nodes)} nodes")
+        object.__setattr__(self, "terminal", _whole(self.terminal, "terminal", 0, len(nodes) - 1))
 
     @property
     def center(self) -> tuple[float, float]:
@@ -282,10 +272,11 @@ def random_mirrored_layout(
 
     Group a's nodes are uniform on a disc of ``radius``, and its terminal is
     the node of largest x. ``rng`` needs ``uniform(a, b)`` and ``random()``,
-    as ``random.Random`` and numpy's ``Generator`` both have."""
+    as ``random.Random`` and numpy's ``Generator`` both have. ``radius`` and
+    ``separation`` must be finite and > 0."""
     num_nodes = _whole(num_nodes, "num_nodes", 2)
-    if not (0 < _real(radius) and 0 < _real(separation)):  # false for NaN and non-numbers
-        raise ValidationError("radius and separation must be > 0")
+    _finite(radius, "radius", 0, strict=True)
+    _finite(separation, "separation", 0, strict=True)
     angles = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(num_nodes)]
     radii = [radius * math.sqrt(rng.random()) for _ in range(num_nodes)]
     nodes_a = [(r * math.cos(a), r * math.sin(a)) for a, r in zip(angles, radii)]
@@ -304,11 +295,8 @@ class Route(Frozen):
     reinforcement: float = 0.0
 
     def _check(self) -> None:
-        _check_finite(**vars(self))
-        if self.length <= 0:
-            raise ValidationError(f"route length must be > 0, got {self.length}")
-        if self.reinforcement < 0:
-            raise ValidationError(f"reinforcement must be >= 0, got {self.reinforcement}")
+        _finite(self.length, "length", 0, strict=True)
+        _finite(self.reinforcement, "reinforcement", 0)
 
 
 class RouteSet(Frozen):
@@ -327,9 +315,7 @@ def stigmergy_reinforce(routes: RouteSet, cycles: int, energy_per_cycle: float) 
     trace faster, exactly as pheromone trails favour shorter paths.
     """
     cycles = _whole(cycles, "cycles", 0)
-    _check_finite(energy_per_cycle=energy_per_cycle)
-    if energy_per_cycle <= 0:
-        raise ValidationError(f"energy_per_cycle must be > 0, got {energy_per_cycle}")
+    _finite(energy_per_cycle, "energy_per_cycle", 0, strict=True)
     return RouteSet(
         tuple(
             Route(r.length, r.reinforcement + cycles * energy_per_cycle / r.length)
@@ -346,10 +332,3 @@ def most_reinforced(routes: RouteSet) -> int:
         range(len(routes.routes)),
         key=lambda i: (routes.routes[i].reinforcement, -i),
     )
-
-
-def _check_finite(**values: float) -> None:
-    """Reject inputs that are not finite real numbers, naming the first one found."""
-    for name, value in values.items():
-        if not math.isfinite(_real(value)):
-            raise ValidationError(f"{name} must be finite, got {_shown(value)}")

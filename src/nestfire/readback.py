@@ -20,7 +20,7 @@ from struct import pack
 from .dynamics import TraceTable
 from .errors import OutOfRange, ParseError, ValidationError, WrongShape
 from .scenario import TRACE_HEADER
-from .topology import _real, _shown, _whole, brief
+from .topology import _finite, _whole, brief
 
 __all__ = [
     "GoldenReport",
@@ -148,8 +148,7 @@ def compare_grids(actual, expected, tolerance: float = GOLDEN_TOLERANCE) -> Gold
         raise WrongShape(f"grid shapes disagree: {shape} vs {other}")
     if len(shape) != 2:
         raise WrongShape(f"a grid must be 2-D, got shape {shape}")
-    if not 0 <= _real(tolerance) < math.inf:
-        raise ValidationError(f"tolerance must be finite and >= 0, got {_shown(tolerance)}")
+    _finite(tolerance, "tolerance", 0)
     errors, mismatches = [], []
     for i, (row_a, row_e) in enumerate(zip(actual, expected)):
         for j, (a, e) in enumerate(zip(row_a, row_e)):

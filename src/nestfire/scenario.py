@@ -40,6 +40,12 @@ WRITE_ROWS = 4096
 
 Scenario = namedtuple("Scenario", "ensemble schedule steps mode")
 
+# Each section's keys, in the order they are read and written, and their
+# types; ``float`` takes an int too.
+_ENSEMBLE = {"depth": int, "pattern_size": int, "excitatory_unit": float,
+             "inhibitory_weight": float, "nesting": str}
+_SCHEDULES = {"staggered": {"type": str, "interval": int}, "explicit": {"type": str, "steps": list}}
+
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document.
@@ -63,16 +69,7 @@ def parse_scenario(text: str) -> Scenario:
     _check_keys(doc, "", {"ensemble", "schedule", "steps", "mode"})
 
     ens = _get(doc, "ensemble", dict)
-    _check_keys(
-        ens,
-        "ensemble.",
-        {"depth", "pattern_size", "excitatory_unit", "inhibitory_weight", "nesting"},
-    )
-    depth = _get(ens, "depth", int, "ensemble.")
-    pattern_size = _get(ens, "pattern_size", int, "ensemble.")
-    excitatory_unit = _get_float(ens, "excitatory_unit", "ensemble.")
-    inhibitory_weight = _get_float(ens, "inhibitory_weight", "ensemble.")
-    nesting = _get(ens, "nesting", str, "ensemble.")
+    depth, size, unit, weight, nesting = _section(ens, "ensemble.", _ENSEMBLE)
     if nesting != "linear":
         raise ParseError(f'ensemble.nesting must be "linear", got {nesting!r}')
 
@@ -80,16 +77,11 @@ def parse_scenario(text: str) -> Scenario:
     if "type" not in sched:
         raise ParseError("missing key 'schedule.type'")
     sched_type = _get(sched, "type", str, "schedule.")
-    if sched_type == "staggered":
-        _check_keys(sched, "schedule.", {"type", "interval"})
-        interval = _get(sched, "interval", int, "schedule.")
-    elif sched_type == "explicit":
-        _check_keys(sched, "schedule.", {"type", "steps"})
-        explicit = _get(sched, "steps", list, "schedule.")
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in explicit):
-            raise ParseError("schedule.steps must be a list of integers")
-    else:
+    if sched_type not in _SCHEDULES:
         raise ParseError(f'schedule.type must be "staggered" or "explicit", got {sched_type!r}')
+    _, given = _section(sched, "schedule.", _SCHEDULES[sched_type])
+    if sched_type == "explicit" and not all(type(v) is int for v in given):
+        raise ParseError("schedule.steps must be a list of integers")
 
     steps = _get(doc, "steps", int)
     mode = _get(doc, "mode", str)
@@ -97,19 +89,18 @@ def parse_scenario(text: str) -> Scenario:
         raise ParseError(f"mode must be one of {_MODES}, got {mode!r}")
 
     # Refused before the ensemble is built, not only before it runs.
-    check_rows("steps x depth x pattern_size", _whole(steps, "steps", 1), depth, pattern_size)
-    spec = build_linear(depth, pattern_size, excitatory_unit, inhibitory_weight)
+    check_rows("steps x depth x pattern_size", _whole(steps, "steps", 1), depth, size)
+    spec = build_linear(depth, size, unit, weight)
     if violations := validate(spec):
         raise ValidationError("; ".join(violations))
     if sched_type == "staggered":
-        schedule = Schedule.staggered(spec.num_patterns, interval)
+        schedule = Schedule.staggered(spec.num_patterns, given)
     else:
-        if len(explicit) != spec.num_patterns:
+        if len(given) != spec.num_patterns:
             raise ValidationError(
-                f"schedule.steps lists {len(explicit)} patterns, ensemble has"
-                f" {spec.num_patterns}"
+                f"schedule.steps lists {len(given)} patterns, ensemble has {spec.num_patterns}"
             )
-        schedule = Schedule(tuple(explicit))
+        schedule = Schedule(tuple(given))
     return Scenario(spec, schedule, steps, mode)
 
 
@@ -131,14 +122,9 @@ def write_scenario(scenario: Scenario) -> str:
     if violations := validate(spec):  # so that a message names the value given, not a NaN
         raise ValidationError("; ".join(violations))
     (size,) = sizes
+    ensemble = (spec.num_patterns, size, _real(spec.excitatory_unit), _real(spec.inhibitory_weight))
     doc = {
-        "ensemble": {
-            "depth": spec.num_patterns,
-            "pattern_size": size,
-            "excitatory_unit": _real(spec.excitatory_unit),
-            "inhibitory_weight": _real(spec.inhibitory_weight),
-            "nesting": "linear",
-        },
+        "ensemble": dict(zip(_ENSEMBLE, (*ensemble, "linear"))),
         "schedule": {"type": "explicit", "steps": list(scenario.schedule.activation_step)},
         "steps": _whole(scenario.steps, "steps"),
         "mode": str(scenario.mode),
@@ -220,17 +206,22 @@ def _check_keys(obj: dict, prefix: str, allowed: set[str]) -> None:
         raise ParseError(f"missing key '{prefix}{missing[0]}'")
 
 
-def _get(obj: dict, key: str, types, prefix: str = ""):
+def _section(obj: dict, prefix: str, schema: dict) -> list:
+    """The values of ``obj``, whose keys must be ``schema``'s, each of its
+    type there, in ``schema``'s order."""
+    _check_keys(obj, prefix, set(schema))
+    return [_get(obj, key, kind, prefix) for key, kind in schema.items()]
+
+
+def _get(obj: dict, key: str, kind: type, prefix: str = ""):
+    """``obj[key]``, of type ``kind``. A float may be given as an int, and
+    is returned as a float."""
     value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, types):
-        type_names = types.__name__ if isinstance(types, type) else "number"
-        raise ParseError(f"{prefix}{key} must be {type_names}, got {type(value).__name__}")
-    return value
-
-
-def _get_float(obj: dict, key: str, prefix: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        name = "number" if kind is float else kind.__name__
+        raise ParseError(f"{prefix}{key} must be {name}, got {type(value).__name__}")
     try:
-        return float(_get(obj, key, (int, float), prefix))
+        return float(value) if kind is float else value
     except OverflowError:  # an integer literal beyond float range
         raise ValidationError(f"{prefix}{key} is beyond the range of a float") from None
 

@@ -34,6 +34,9 @@ __all__ = [
 # The most rows one request may produce: steps x neurons of a trace, or the
 # count events of a counter. A larger request fails before it allocates.
 MAX_ROWS = 10**7
+# The rows one pattern of a chain counts as: a one-step run grows by about
+# 820 bytes a pattern (depths 5 * 10**4 to 2 * 10**5), a trace by 8 a row.
+PATTERN_ROWS = 100
 
 
 PatternSpec = namedtuple("PatternSpec", "id parent size")
@@ -146,6 +149,7 @@ def build_linear(
         raise InvalidDimension(
             f"depth and size must be >= 1, got depth={brief(depth)} size={brief(size)}"
         )
+    check_rows(f"depth x {PATTERN_ROWS} rows per pattern", depth, PATTERN_ROWS)
     patterns = tuple(
         PatternSpec(id=k, parent=None if k == 0 else k - 1, size=size)
         for k in range(depth)
@@ -237,6 +241,15 @@ def _whole(value, what: str, least: int | None = None, most: int | None = None,
     if least is not None and n < least:
         raise error(f"{what} must be >= {least}, got {brief(n)}")
     return n
+
+
+def _finite(value, what: str, low: float | None = None, strict: bool = False) -> None:
+    """Raise ValidationError naming ``what`` unless ``value`` is a finite real
+    number, at least ``low`` where it is given, or above it if ``strict``."""
+    x = _real(value)
+    if not math.isfinite(x) or low is not None and (x <= low if strict else x < low):
+        bound = "" if low is None else f" and {'>' if strict else '>='} {low}"
+        raise ValidationError(f"{what} must be finite{bound}, got {_shown(value)}")
 
 
 def _shown(value) -> str:

@@ -274,7 +274,7 @@ class TestChain:
 
     def test_zero_weight_rejected(self, capsys):
         assert dispatch(["chain", "--hops", "2,0"]) == 2
-        capsys.readouterr()
+        assert capsys.readouterr().err == "nestfire: error: weight 1 must be >= 1, got 0\n"
 
     def test_a_million_firings_still_replayed(self, capsys):
         assert dispatch(["chain", "--hops", "1000,1000"]) == 0

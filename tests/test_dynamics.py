@@ -13,7 +13,6 @@ from array import array
 from fractions import Fraction
 from functools import partial
 
-import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -168,19 +167,19 @@ class TestRun:
 
     def test_golden_columns_match_fixture(self):
         trace = run(STANDARD, STAGGERED, 5)
-        assert np.array_equal(golden_table(trace), table1_fixture())
+        assert golden_table(trace) == table1_fixture()
 
     def test_first_step_only_first_pattern(self):
         trace = run(STANDARD, STAGGERED, 1)
-        values = np.array(neuron_rows(trace))
-        assert values.shape == (1, 25)
-        assert values[0, :5].tolist() == [5.0] * 5
-        assert not values[0, 5:].any()
+        values = neuron_rows(trace)
+        assert [len(row) for row in values] == [25]
+        assert values[0][:5] == [5.0] * 5
+        assert not any(values[0][5:])
 
     def test_single_pattern_never_inhibited(self):
         spec = build_linear(1, 5, 1.0, 0.9)
         trace = run(spec, Schedule.staggered(1), 4)
-        assert np.array(neuron_rows(trace))[:, 0].tolist() == [5.0, 10.0, 15.0, 20.0]
+        assert [row[0] for row in neuron_rows(trace)] == [5.0, 10.0, 15.0, 20.0]
 
     def test_steps_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -327,12 +326,12 @@ class TestInvariants:
     def test_innermost_receives_no_inhibition(self):
         # Innermost fires from t=5 on; any inhibition would pull it below
         # its own accumulated excitation of 5 per step.
-        innermost = np.array(run(STANDARD, STAGGERED, 10).strength)[:, 4].tolist()
+        innermost = [row[4] for row in run(STANDARD, STAGGERED, 10).strength]
         assert innermost == [5.0 * max(0, t - 4) for t in range(1, 11)]
 
     def test_non_negativity(self):
         trace = run(STANDARD, STAGGERED, 20)
-        assert (np.array(neuron_rows(trace)) >= 0).all()
+        assert all(v >= 0 for row in neuron_rows(trace) for v in row)
 
     def test_shutdown_ordering_at_t5(self):
         trace = run(STANDARD, STAGGERED, 5)
@@ -343,17 +342,17 @@ class TestInvariants:
     def test_determinism(self):
         a = run(STANDARD, STAGGERED, 9, MODE_SCHEDULED)
         b = run(STANDARD, STAGGERED, 9, MODE_SCHEDULED)
-        assert np.array(neuron_rows(a)).tobytes() == np.array(neuron_rows(b)).tobytes()
+        assert rows_bytes(neuron_rows(a)) == rows_bytes(neuron_rows(b))
         c = run(STANDARD, STAGGERED, 9, MODE_FREE_RUN)
         d = run(STANDARD, STAGGERED, 9, MODE_FREE_RUN)
-        assert np.array(neuron_rows(c)).tobytes() == np.array(neuron_rows(d)).tobytes()
+        assert rows_bytes(neuron_rows(c)) == rows_bytes(neuron_rows(d))
 
 
 class TestFreeRun:
     def test_matches_scheduled_through_activation_wave(self):
         scheduled = run(STANDARD, STAGGERED, 5, MODE_SCHEDULED)
         free = run(STANDARD, STAGGERED, 5, MODE_FREE_RUN)
-        assert np.array_equal(neuron_rows(scheduled), neuron_rows(free))
+        assert neuron_rows(scheduled) == neuron_rows(free)
 
     def test_starvation_winds_down_inward(self):
         # Outermost dies at t=5 and stops firing; each deeper level loses its
@@ -369,12 +368,12 @@ class TestFreeRun:
         assert firing_sets[10] == []
 
     def test_quiescent_state_is_stable(self):
-        strength = np.array(run(STANDARD, STAGGERED, 15, MODE_FREE_RUN).strength)
-        assert (strength[10:] == strength[-1]).all()
+        strength = run(STANDARD, STAGGERED, 15, MODE_FREE_RUN).strength
+        assert all(row == strength[-1] for row in strength[10:])
 
     def test_without_drive_nothing_starts(self):
         trace = run(STANDARD, STAGGERED, 5, MODE_FREE_RUN, drive=0)
-        assert not np.array(trace.strength).any()
+        assert not any(itertools.chain(*trace.strength))
 
     def test_drive_defaults_to_every_step_and_scheduled_runs_ignore_it(self):
         free = strength_bytes(run(STANDARD, STAGGERED, 12, MODE_FREE_RUN))
@@ -422,14 +421,19 @@ class TestFreeRun:
         assert math.ceil(1 + 2 / Fraction(1, 10)) == 21
         assert first_quiet_step(22, 3, 1.0, 0.1) == 44
         spec, schedule = build_linear(22, 3, 1.0, 0.1), Schedule.staggered(22)
-        strength = np.array(run(spec, schedule, 47, MODE_FREE_RUN, drive=22).strength)
-        assert strength[20, 0] == strength[21, 1] == 2.6645352591003757e-15
+        strength = run(spec, schedule, 47, MODE_FREE_RUN, drive=22).strength
+        assert strength[20][0] == strength[21][1] == 2.6645352591003757e-15
+
+
+def rows_bytes(rows):
+    """Rows of numbers as the bytes of their doubles, row after row: equal
+    only if every bit is, ``-0.0`` and NaN payloads included."""
+    return array("d", itertools.chain(*rows)).tobytes()
 
 
 def strength_bytes(trace):
-    """A trace's strengths as the bytes of their doubles, step after step:
-    equal only if every bit is, ``-0.0`` and NaN payloads included."""
-    return array("d", itertools.chain(*trace.strength)).tobytes()
+    """A trace's strengths as :func:`rows_bytes`, step after step."""
+    return rows_bytes(trace.strength)
 
 
 def first_quiet_step(depth, size, unit, delta):
@@ -557,7 +561,8 @@ class TestFiringLaws:
         schedule = Schedule(activation)
         base = run(forest(sizes, parents, unit, weight), schedule, steps, mode)
         scaled = run(forest(sizes, parents, unit * 2.0**k, weight), schedule, steps, mode)
-        assert strength_bytes(scaled) == np.ldexp(base.strength, k).tobytes()
+        scaled_rows = ([math.ldexp(v, k) for v in row] for row in base.strength)
+        assert strength_bytes(scaled) == rows_bytes(scaled_rows)
 
     @given(forest_runs(), st.integers(1, 4))
     def test_delaying_every_activation_prepends_zero_rows(self, case, c):
@@ -565,8 +570,8 @@ class TestFiringLaws:
         spec = forest(sizes, parents, unit, weight)
         base = run(spec, Schedule(activation), steps, mode)
         later = run(spec, Schedule([t + c for t in activation]), steps + c, mode)
-        zeros = np.zeros((c, len(sizes)))
-        assert strength_bytes(later) == np.vstack([zeros, base.strength]).tobytes()
+        zeros = [[0.0] * len(sizes)] * c
+        assert strength_bytes(later) == rows_bytes(zeros + base.strength)
 
     @given(forest_runs(), forest_runs())
     def test_a_disjoint_tree_with_higher_indices_changes_no_strength(self, case, other):
@@ -577,7 +582,7 @@ class TestFiringLaws:
         joined = forest(sizes + more_sizes, parents + more_parents, unit, weight)
         both = run(joined, Schedule(activation + more_activation), steps, mode)
         base = run(forest(sizes, parents, unit, weight), Schedule(activation), steps, mode)
-        assert np.array(both.strength)[:, :num].tobytes() == strength_bytes(base)
+        assert rows_bytes(row[:num] for row in both.strength) == strength_bytes(base)
 
     @given(forest_runs(), st.sampled_from([0.0, 0.3, 1 / 3, 0.7, 1.5, 2.0]))
     def test_more_inhibition_never_raises_a_strength_when_scheduled(self, case, other):
@@ -588,4 +593,4 @@ class TestFiringLaws:
             run(forest(sizes, parents, unit, w), Schedule(activation), steps)
             for w in sorted([weight, other])
         )
-        assert (np.array(high.strength) <= np.array(low.strength)).all()
+        assert all(h <= l for hs, ls in zip(high.strength, low.strength) for h, l in zip(hs, ls))

@@ -8,7 +8,10 @@ before it starts. Its cases and their limits:
   streams in writes of a few thousand rows, where a label string per neuron
   would need more than 275 MB;
 - a counter of depth 1 000 000, in 100 000 KiB: its levels are a range,
-  printed one line at a time.
+  printed one line at a time;
+- a chain of depth 10**7 over one step, in 100 000 KiB: within the row
+  budget, but at about 820 bytes a pattern it is refused before it is
+  built.
 This module imports no numpy.
 """
 
@@ -63,6 +66,15 @@ def test_simulate_fits(tmp_path, scenario, kib):
 def test_counter_fits(tmp_path):
     done = run_limited(["-m", "nestfire", "counter", "--depth", "1000000"], 100_000, tmp_path)
     assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_a_chain_too_deep_to_build_is_refused(tmp_path):
+    scenario = chain(10**7, 1, {"type": "staggered", "interval": 1}, 1)
+    (tmp_path / "run.scenario").write_text(json.dumps(scenario))
+    args = ["-m", "nestfire", "simulate", "--scenario", "run.scenario", "--out", os.devnull]
+    done = run_limited(args, 100_000, tmp_path)
+    message = "depth x 100 rows per pattern exceeds the budget of 10000000 rows"
+    assert (done.returncode, done.stderr) == (2, f"nestfire: error: {message}\n")
 
 
 def test_the_limit_binds(tmp_path):

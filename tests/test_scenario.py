@@ -144,6 +144,7 @@ class TestParseScenario:
     def test_row_budget_is_checked_before_building(self, monkeypatch):
         doc = standard_doc()  # 5 steps x 5 patterns x 5 neurons
         monkeypatch.setattr(topology, "MAX_ROWS", 125)
+        monkeypatch.setattr(topology, "PATTERN_ROWS", 1)  # so that only the trace rows bind
         assert parse_scenario(json.dumps(doc)) == standard_scenario()
         doc["ensemble"]["depth"] = 10**12  # would take hours to build
         with pytest.raises(ValidationError, match="steps x depth x pattern_size exceeds"):
@@ -188,6 +189,58 @@ class TestParseScenario:
         mutate(doc)
         with pytest.raises(ParseError):
             parse_scenario(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "mutate, error, message",
+        [
+            (
+                lambda d: d["ensemble"].update(extra=1, depth="5"),
+                ParseError,
+                "unknown key 'ensemble.extra'",
+            ),
+            (
+                lambda d: (d["ensemble"].pop("depth"), d["schedule"].update(type="bogus")),
+                ParseError,
+                "missing key 'ensemble.depth'",
+            ),
+            (
+                lambda d: (d["ensemble"].pop("nesting"), d.update(steps="5")),
+                ParseError,
+                "missing key 'ensemble.nesting'",
+            ),
+            (
+                lambda d: d.update(schedule={"type": "bogus", "foo": 1}),
+                ParseError,
+                """schedule.type must be "staggered" or "explicit", got 'bogus'""",
+            ),
+            (
+                lambda d: d.update(schedule={"type": "explicit", "steps": "1", "extra": 1}),
+                ParseError,
+                "unknown key 'schedule.extra'",
+            ),
+            (
+                lambda d: d["ensemble"].update(excitatory_unit=10**400, nesting=1),
+                ValidationError,
+                "ensemble.excitatory_unit is beyond the range of a float",
+            ),
+            (lambda d: d.update(steps="5", mode=1), ParseError, "steps must be int, got str"),
+        ],
+        ids=[
+            "unknown-key-before-its-neighbour's-type",
+            "ensemble-before-schedule",
+            "ensemble-before-steps",
+            "schedule-type-before-its-keys",
+            "schedule-keys-before-their-types",
+            "overflow-in-reading-order",
+            "steps-before-mode",
+        ],
+    )
+    def test_the_first_fault_is_reported(self, mutate, error, message):
+        doc = standard_doc()
+        mutate(doc)
+        with pytest.raises(error) as raised:
+            parse_scenario(json.dumps(doc))
+        assert type(raised.value) is error and str(raised.value) == message
 
     def test_parse_after_write_is_identity(self):
         original = standard_scenario()

@@ -63,6 +63,12 @@ class TestBuildLinear:
         with pytest.raises(InvalidDimension):
             build_linear(depth, size, 1.0, 0.5)
 
+    def test_each_pattern_counts_as_a_hundred_rows(self):
+        assert build_linear(10**5, 1, 1.0, 0.5).num_patterns == 10**5
+        budget = "depth x 100 rows per pattern exceeds the budget of 10000000 rows"
+        with pytest.raises(ValidationError, match=f"^{budget}$"):
+            build_linear(10**5 + 1, 1, 1.0, 0.5)
+
 
 class TestAncestors:
     def test_deepest_pattern_inhibits_all_outer(self):

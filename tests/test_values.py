@@ -4,6 +4,7 @@ and hash, rejected assignment, keyword construction, coercion of fields, and
 validation on construction."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from nestfire import (
     start,
     stigmergy_reinforce,
 )
+from nestfire.energy import random_mirrored_layout
 
 # Each makes a fresh instance; two calls give equal, distinct values.
 VALUES = {
@@ -276,27 +278,39 @@ def test_chain_values_coerce_fields():
 @pytest.mark.parametrize(
     "make, message",
     [
-        (lambda: HopSpec(-1.0, 0.0, 1.0, 1.0), "distance must be >= 0, got -1.0"),
-        (lambda: HopSpec(0.0, -0.5, 1.0, 1.0), "attenuation must be >= 0, got -0.5"),
-        (lambda: HopSpec(0.0, 0.0, 0.0, 1.0), "threshold must be > 0, got 0.0"),
-        (lambda: HopSpec(0.0, 0.0, 1.0, 0.0), "impulse must be > 0, got 0.0"),
-        (lambda: HopSpec(math.nan, math.inf, 1.0, 1.0), "distance must be finite, got nan"),
-        (lambda: HopSpec(0.0, 0.0, 1.0, math.inf), "impulse must be finite, got inf"),
+        (lambda: HopSpec(-1.0, 0.0, 1.0, 1.0), "distance must be finite and >= 0, got -1.0"),
+        (lambda: HopSpec(0.0, -0.5, 1.0, 1.0), "attenuation must be finite and >= 0, got -0.5"),
+        (lambda: HopSpec(0.0, 0.0, 0.0, 1.0), "threshold must be finite and > 0, got 0.0"),
+        (lambda: HopSpec(0.0, 0.0, 1.0, 0.0), "impulse must be finite and > 0, got 0.0"),
+        (lambda: HopSpec(math.nan, math.inf, 1.0, 1.0), "distance must be finite and >= 0, got nan"),
+        (lambda: HopSpec(0.0, 0.0, 1.0, math.inf), "impulse must be finite and > 0, got inf"),
         (lambda: ChainSpec(()), "a chain needs at least one hop"),
         (lambda: WeightChain([]), "a weight chain needs at least one hop"),
-        (lambda: WeightChain([2, 0]), "all weights must be >= 1, got 0"),
+        (lambda: WeightChain([2, 0]), "weight 1 must be >= 1, got 0"),
         (lambda: WeightChain([2, math.nan]), "weight 1 must be a whole number, got nan"),
-        (lambda: Route(0.0), "route length must be > 0, got 0.0"),
-        (lambda: Route(length=1.0, reinforcement=-1.0), "reinforcement must be >= 0, got -1.0"),
-        (lambda: Route(math.inf), "length must be finite, got inf"),
-        (lambda: Route(1.0, math.nan), "reinforcement must be finite, got nan"),
+        (lambda: Route(0.0), "length must be finite and > 0, got 0.0"),
+        (lambda: Route(length=1.0, reinforcement=-1.0), "reinforcement must be finite and >= 0, got -1.0"),
+        (lambda: Route(math.inf), "length must be finite and > 0, got inf"),
+        (lambda: Route(1.0, math.nan), "reinforcement must be finite and >= 0, got nan"),
         (
             lambda: GroupLayout([[0.0, 0.0, 0.0]], 0),
             r"nodes must be \(x, y\) pairs, got \[\[0.0, 0.0, 0.0\]\]",
         ),
         (lambda: GroupLayout([], 0), "a group needs at least one node"),
         (lambda: GroupLayout([[math.nan, 0.0]], 0), "node positions must be finite"),
-        (lambda: GroupLayout([[0.0, 0.0]], 1), "terminal 1 not among the 1 nodes"),
+        (lambda: GroupLayout([[0.0, 0.0]], 1), r"terminal 1 not in 0\.\.0"),
+        (
+            lambda: stigmergy_reinforce(RouteSet([Route(1.0)]), 1, 0.0),
+            "energy_per_cycle must be finite and > 0, got 0.0",
+        ),
+        (
+            lambda: random_mirrored_layout(random.Random(0), radius=0),
+            "radius must be finite and > 0, got 0",
+        ),
+        (
+            lambda: random_mirrored_layout(random.Random(0), separation=math.inf),
+            "separation must be finite and > 0, got inf",
+        ),
     ],
     ids=[
         "negative-distance",
@@ -317,6 +331,9 @@ def test_chain_values_coerce_fields():
         "no-nodes",
         "nan-node",
         "terminal",
+        "zero-energy",
+        "zero-radius",
+        "infinite-separation",
     ],
 )
 def test_chain_values_validate_on_construction(make, message):
