@@ -19,7 +19,7 @@ from importlib import import_module
 from types import SimpleNamespace
 
 from . import __version__
-from .errors import NestfireError, ValidationError
+from .errors import NestfireError, ValidationError, _shown
 
 
 def _deferred(module: str, name: str):
@@ -60,6 +60,8 @@ def dispatch(argv: list[str]) -> int:
         return 2
     except (NestfireError, OSError, ValueError) as exc:
         # ValueError too: a scenario file that is not UTF-8 raises UnicodeDecodeError.
+        if isinstance(exc, OSError) and exc.filename is not None:  # its text quotes it in full
+            exc = f"[Errno {exc.errno}] {exc.strerror}: {_shown(exc.filename)}"
         print(f"nestfire: error: {exc}", file=sys.stderr)
         return 2
 
@@ -99,10 +101,6 @@ def _parse(argv: list[str]):
         if value is ...:
             raise ValidationError(f"{command} requires --{flag}")
     return handler, SimpleNamespace(**values)
-
-
-def _shown(text: str) -> str:  # quoted for a message, and cut short
-    return repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
 
 
 def _usage() -> str:
@@ -210,8 +208,7 @@ def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        got = _shown(text)
-        raise ValidationError(f"{flag} expects comma-separated integers, got {got}") from exc
+        raise ValidationError(f"{flag} expects comma-separated integers, got {_shown(text)}") from exc
 
 
 def _printable(value: int, flag: str) -> int:

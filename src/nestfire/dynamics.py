@@ -40,7 +40,7 @@ from bisect import bisect_right
 from itertools import groupby
 from operator import add, sub
 
-from .errors import SpecMismatch, ValidationError, WrongShape
+from .errors import SpecMismatch, ValidationError, WrongShape, _shown
 # bench/tracing.py swaps ``members`` (not called here) and ``ancestors`` (see
 # ``run``) by name, so both stay bound; tests/test_traced_names.py pins them.
 from .topology import EnsembleSpec, Frozen, _whole, ancestors, check_rows, members, validate
@@ -149,7 +149,7 @@ def run(
     steps = _whole(steps, "steps", 1)
     drive = steps if drive is None else _whole(drive, "drive", 0)
     if mode not in (MODE_SCHEDULED, MODE_FREE_RUN):
-        raise ValidationError(f"unknown mode {mode!r}")
+        raise ValidationError(f"unknown mode {_shown(mode)}")
     violations = validate(spec)
     if violations:
         raise ValidationError("; ".join(violations))
@@ -162,11 +162,12 @@ def run(
     largest = max(p.size for p in spec.patterns)
     # No strength exceeds steps*unit*largest, nor a step's inhibition weight*unit*neurons.
     try:
-        bound = max(steps * unit * largest, weight * unit * spec.num_neurons)
-    except OverflowError:  # a size or step count beyond float range
+        bound = float(max(steps * unit * largest, weight * unit * spec.num_neurons))
+    except OverflowError:  # a size, step count or integer unit beyond float range
         bound = math.inf
     if not math.isfinite(bound):
-        raise ValidationError(f"excitatory_unit {unit} and inhibitory_weight {weight} overflow")
+        got = f"excitatory_unit {_shown(unit)} and inhibitory_weight {_shown(weight)}"
+        raise ValidationError(f"{got} overflow")
     check_rows("steps x neurons", steps, spec.num_neurons)
     num = spec.num_patterns
     parent = [p.parent for p in spec.patterns]

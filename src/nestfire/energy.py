@@ -19,8 +19,8 @@ from functools import cached_property
 from itertools import accumulate
 from operator import mul
 
-from .errors import AttenuatedOut, DegenerateLayout, OutOfRange, ValidationError
-from .topology import Frozen, _finite, _real, _shown, _whole
+from .errors import AttenuatedOut, DegenerateLayout, OutOfRange, ValidationError, _shown
+from .topology import Frozen, _finite, _real, _whole
 
 __all__ = [
     "HopSpec",
@@ -88,7 +88,8 @@ class WeightChain(Frozen):
     weights: tuple[int, ...]
 
     def _check(self) -> None:
-        weights = tuple(_whole(w, f"weight {k}", 1) for k, w in enumerate(self.weights))
+        given = tuple(self.weights)
+        weights = tuple(_whole(w, f"weight {k} of {len(given)}", 1) for k, w in enumerate(given, 1))
         object.__setattr__(self, "weights", weights)
         if not self.weights:
             raise ValidationError("a weight chain needs at least one hop")
@@ -121,12 +122,13 @@ def firings_per_hop(hop: HopSpec) -> int:
     arriving = hop.arriving
     if arriving <= 0:
         raise AttenuatedOut(
-            f"impulse {hop.impulse} cannot cover distance {hop.distance}"
-            f" at loss {hop.attenuation}/unit"
+            f"impulse {_shown(hop.impulse)} cannot cover distance {_shown(hop.distance)}"
+            f" at loss {_shown(hop.attenuation)}/unit"
         )
     firings = hop.threshold / arriving
     if not math.isfinite(firings):
-        raise ValidationError(f"threshold {hop.threshold} needs too many firings at {arriving}")
+        message = f"threshold {_shown(hop.threshold)} needs too many firings at {_shown(arriving)}"
+        raise ValidationError(message)
     return math.ceil(firings)
 
 
@@ -141,8 +143,9 @@ def event_oracle(chain: ChainSpec) -> int:
     cells: each cell stores arriving charge, fires once on reaching its
     threshold, and resets its accumulator to zero.
 
-    Independent of the product rule; the two must agree exactly whenever
-    every hop delivers positive charge. A chain that needs more than a
+    Independent of the product rule; the two agree exactly when every
+    running sum of charge is exact, as for the whole thresholds at impulse 1
+    that ``hops_from_weights`` builds. A chain that needs more than a
     million source firings raises ValidationError instead.
     """
     firings = math.prod(firings_per_hop(hop) for hop in chain.hops)
@@ -165,15 +168,14 @@ def event_oracle(chain: ChainSpec) -> int:
             charge[cell] += arriving[cell]
 
 
-def hops_from_weights(chain: WeightChain, impulse: float = 1.0) -> ChainSpec:
-    """Zero-distance chain whose per-hop requirement equals each weight."""
-    _finite(impulse, "impulse")  # before it multiplies: 2 * "x" is "xx"
+def hops_from_weights(chain: WeightChain) -> ChainSpec:
+    """Zero-distance chain of unit impulses whose per-hop requirement equals
+    each weight."""
     try:
-        thresholds = [w * impulse for w in chain.weights]
+        thresholds = [float(w) for w in chain.weights]
     except OverflowError:
         raise ValidationError("a weight is beyond the range of a float") from None
-    hops = (HopSpec(distance=0.0, attenuation=0.0, threshold=t, impulse=impulse) for t in thresholds)
-    return ChainSpec(tuple(hops))
+    return ChainSpec(tuple(HopSpec(0.0, 0.0, t, 1.0) for t in thresholds))
 
 
 def centering_cost(chain: WeightChain, position: int) -> int:

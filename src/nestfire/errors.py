@@ -62,3 +62,17 @@ class ValidationError(NestfireError, ValueError):
 
 class InvalidDimension(ValidationError):
     """A depth or pattern size is below 1, which no valid ensemble has."""
+
+
+def _shown(value) -> str:
+    """Outside input, quoted for a message: a str as the repr of its first 20
+    characters, an int in full up to 9 digits and else by its sign, anything
+    else as its repr cut to 20 characters, a cut noting the length. Never raises."""
+    if isinstance(value, int) and not -(10**9) < value < 10**9:
+        return f"{'-' if value < 0 else ''}(over 9 digits)"
+    try:
+        text = value if isinstance(value, str) else repr(value)
+    except Exception:  # such as the repr of a tuple that holds an int of 5000 digits
+        return f"a {type(value).__name__} with no repr"
+    head = repr(text[:20]) if isinstance(value, str) else text[:20]
+    return head if len(text) <= 20 else f"{head}... ({len(text)} characters)"

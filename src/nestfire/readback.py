@@ -18,9 +18,9 @@ from collections import namedtuple
 from struct import pack
 
 from .dynamics import TraceTable
-from .errors import OutOfRange, ParseError, ValidationError, WrongShape
+from .errors import OutOfRange, ParseError, ValidationError, WrongShape, _shown
 from .scenario import TRACE_HEADER
-from .topology import _finite, _whole, brief
+from .topology import _finite, _whole
 
 __all__ = [
     "GoldenReport",
@@ -206,8 +206,7 @@ def read_golden_fixture(text: str) -> list[list[float]]:
         except ValueError:
             raise _unreadable(number, FIXTURE_HEADER, fields) from None
         if neuron != len(rows) and not misnumbered:
-            got = brief(neuron)
-            misnumbered = ParseError(f"line {number}: expected neuron {len(rows)}, got {got}")
+            misnumbered = ParseError(f"line {number}: expected neuron {len(rows)}, got {_shown(neuron)}")
     if misnumbered:
         raise misnumbered
     return rows
@@ -275,4 +274,4 @@ def _field(fields: list[str], k: int, number: int) -> float:
 
 
 def _unreadable(number: int, header: str, fields: list[str]) -> ParseError:
-    return ParseError(f"line {number}: expected fields {header}, got {','.join(fields)!r}")
+    return ParseError(f"line {number}: expected fields {header}, got {_shown(','.join(fields))}")

@@ -22,7 +22,7 @@ from collections import namedtuple
 from io import TextIOBase
 
 from .dynamics import MODE_FREE_RUN, MODE_SCHEDULED, Schedule, TraceTable
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, _shown
 from .topology import EnsembleSpec, _real, _whole, build_linear, check_rows, validate
 
 __all__ = ["Scenario", "parse_scenario", "write_scenario", "standard_scenario", "write_trace"]
@@ -71,14 +71,14 @@ def parse_scenario(text: str) -> Scenario:
     ens = _get(doc, "ensemble", dict)
     depth, size, unit, weight, nesting = _section(ens, "ensemble.", _ENSEMBLE)
     if nesting != "linear":
-        raise ParseError(f'ensemble.nesting must be "linear", got {nesting!r}')
+        raise ParseError(f'ensemble.nesting must be "linear", got {_shown(nesting)}')
 
     sched = _get(doc, "schedule", dict)
     if "type" not in sched:
         raise ParseError("missing key 'schedule.type'")
     sched_type = _get(sched, "type", str, "schedule.")
     if sched_type not in _SCHEDULES:
-        raise ParseError(f'schedule.type must be "staggered" or "explicit", got {sched_type!r}')
+        raise ParseError(f'schedule.type must be "staggered" or "explicit", got {_shown(sched_type)}')
     _, given = _section(sched, "schedule.", _SCHEDULES[sched_type])
     if sched_type == "explicit" and not all(type(v) is int for v in given):
         raise ParseError("schedule.steps must be a list of integers")
@@ -86,7 +86,7 @@ def parse_scenario(text: str) -> Scenario:
     steps = _get(doc, "steps", int)
     mode = _get(doc, "mode", str)
     if mode not in _MODES:
-        raise ParseError(f"mode must be one of {_MODES}, got {mode!r}")
+        raise ParseError(f"mode must be one of {_MODES}, got {_shown(mode)}")
 
     # Refused before the ensemble is built, not only before it runs.
     check_rows("steps x depth x pattern_size", _whole(steps, "steps", 1), depth, size)
@@ -201,7 +201,7 @@ def _check_keys(obj: dict, prefix: str, allowed: set[str]) -> None:
     unknown = sorted(set(obj) - allowed)
     missing = sorted(allowed - set(obj))
     if unknown:
-        raise ParseError(f"unknown key '{prefix}{unknown[0]}'")
+        raise ParseError(f"unknown key {_shown(prefix + unknown[0])}")
     if missing:
         raise ParseError(f"missing key '{prefix}{missing[0]}'")
 

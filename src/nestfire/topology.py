@@ -20,7 +20,7 @@ from collections import namedtuple
 from functools import cached_property
 from itertools import accumulate
 
-from .errors import InvalidDimension, UnknownPattern, ValidationError
+from .errors import InvalidDimension, UnknownPattern, ValidationError, _shown
 
 __all__ = [
     "PatternSpec",
@@ -147,7 +147,7 @@ def build_linear(
     size = _whole(size, "size", error=InvalidDimension)
     if depth < 1 or size < 1:
         raise InvalidDimension(
-            f"depth and size must be >= 1, got depth={brief(depth)} size={brief(size)}"
+            f"depth and size must be >= 1, got depth={_shown(depth)} size={_shown(size)}"
         )
     check_rows(f"depth x {PATTERN_ROWS} rows per pattern", depth, PATTERN_ROWS)
     patterns = tuple(
@@ -168,7 +168,7 @@ def ancestors(spec: EnsembleSpec, pattern: int) -> list[int]:
     while current is not None:
         # A valid chain has fewer than P ancestors; a longer walk is a cycle.
         if len(chain) == spec.num_patterns:
-            raise ValidationError(f"nesting cycle at pattern {current}")
+            raise ValidationError(f"nesting cycle at pattern {_shown(current)}")
         chain.append(_whole(current, "parent", 0, spec.num_patterns - 1))
         current = spec.patterns[chain[-1]].parent
     return chain
@@ -202,11 +202,11 @@ def validate(spec: EnsembleSpec) -> list[str]:
             violations.append(f"pattern {pos} needs integer id, parent and size, got {got}")
             continue
         if pat.id != pos:
-            violations.append(f"pattern at position {pos} has id {pat.id}")
+            violations.append(f"pattern at position {pos} has id {_shown(pat.id)}")
         if pat.size < 1:
             violations.append(f"empty pattern {pos}")
         if pat.parent is not None and not 0 <= pat.parent < n_pat:
-            violations.append(f"pattern {pos} parent {pat.parent} does not exist")
+            violations.append(f"pattern {pos} parent {_shown(pat.parent)} does not exist")
         elif jump[pos] != n_pat:
             violations.append(f"no root above pattern {pos}: nesting cycle or missing parent")
     unit, weight = spec.excitatory_unit, spec.inhibitory_weight
@@ -237,9 +237,9 @@ def _whole(value, what: str, least: int | None = None, most: int | None = None,
     else:
         raise error(f"{what} must be a whole number, got {_shown(value)}")
     if most is not None and not least <= n <= most:
-        raise error(f"{what} {brief(n)} not in {least}..{most}")
+        raise error(f"{what} {_shown(n)} not in {least}..{most}")
     if least is not None and n < least:
-        raise error(f"{what} must be >= {least}, got {brief(n)}")
+        raise error(f"{what} must be >= {least}, got {_shown(n)}")
     return n
 
 
@@ -252,25 +252,11 @@ def _finite(value, what: str, low: float | None = None, strict: bool = False) ->
         raise ValidationError(f"{what} must be finite{bound}, got {_shown(value)}")
 
 
-def _shown(value) -> str:
-    """``value``'s repr for a message, cut to 40 characters and its length."""
-    text = repr(value)
-    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
-
-
 def check_rows(what: str, *factors: int) -> None:
     """Refuse a request for more than MAX_ROWS rows, the product of
     ``factors``; ``what`` names the factors in the message."""
     if math.prod(factors) > MAX_ROWS:
         raise ValidationError(f"{what} exceeds the budget of {MAX_ROWS} rows")
-
-
-def brief(n: int) -> str:
-    """``n`` for a message: in full up to 9 digits, else only its sign, so
-    that an input of hundreds of digits cannot flood the message."""
-    if -(10**9) < n < 10**9:
-        return str(n)
-    return f"{'-' if n < 0 else ''}(over 9 digits)"
 
 
 def _check_pattern(spec: EnsembleSpec, pattern: int) -> int:

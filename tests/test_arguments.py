@@ -30,7 +30,6 @@ from nestfire import (
     centering_cost,
     compare_grids,
     first_zero_step,
-    hops_from_weights,
     members,
     pattern_strength,
     random_mirrored_layout,
@@ -39,6 +38,7 @@ from nestfire import (
     stigmergy_reinforce,
     tick,
 )
+from nestfire.errors import _shown
 
 SPEC = build_linear(3, 2, 1.0, 0.5)
 TRACE = run(SPEC, Schedule.staggered(3), 4)
@@ -89,11 +89,11 @@ REAL = {
     "route-length": (lambda x: Route(x), ValidationError),
     "route-reinforcement": (lambda x: Route(1.0, x), ValidationError),
     "stigmergy-energy": (lambda x: stigmergy_reinforce(ROUTES, 1, x), ValidationError),
-    "hops-impulse": (lambda x: hops_from_weights(WeightChain((2,)), x), ValidationError),
     "required_output-demand": (lambda x: required_output(HOP, x), ValidationError),
     "compare_grids-tolerance": (lambda x: compare_grids(GRID, GRID, x), ValidationError),
     "layout-radius": (lambda x: random_mirrored_layout(rng(), radius=x), ValidationError),
     "layout-separation": (lambda x: random_mirrored_layout(rng(), separation=x), ValidationError),
+    "run-unit": (lambda x: run(build_linear(2, 1, x, 0.5), Schedule.staggered(2), 2), ValidationError),
 }
 JUNK = {"text": "1", "fraction": 1.5, "nan": math.nan, "none": None, "complex": 1j}
 
@@ -113,12 +113,33 @@ def test_parents_that_ancestors_walks_refuse_junk(junk):
     assert type(info.value) is ValidationError
 
 
-@pytest.mark.parametrize("junk", ["1", math.nan, None, 1j], ids=["text", "nan", "none", "complex"])
+# 10**5000 has more digits than Python converts to text, so a message must not print it.
+@pytest.mark.parametrize(
+    "junk", ["1", math.nan, None, 1j, 10**5000], ids=["text", "nan", "none", "complex", "huge"]
+)
 @pytest.mark.parametrize("call, error", REAL.values(), ids=REAL.keys())
 def test_real_arguments_refuse_junk(call, error, junk):
     with pytest.raises(Exception) as info:
         call(junk)
     assert type(info.value) is error, info.value
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        ("x" * 20, repr("x" * 20)),
+        ("x" * 100_000, f"{'x' * 20!r}... (100000 characters)"),
+        (-999_999_999, "-999999999"),
+        (-(10**9), "-(over 9 digits)"),
+        (10**5000, "(over 9 digits)"),
+        (list(range(10)), "[0, 1, 2, 3, 4, 5, 6... (30 characters)"),
+        ((1, 10**5000), "a tuple with no repr"),
+    ],
+    ids=["str-20", "str-100000", "int-9-digits", "int-10-digits", "int-5001-digits", "list",
+         "tuple-of-5001-digits"],
+)
+def test_messages_quote_input_by_one_bounded_rule(value, shown):
+    assert _shown(value) == shown
 
 
 def test_whole_floats_still_count():

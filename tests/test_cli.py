@@ -100,6 +100,14 @@ class TestSimulate:
         assert dispatch(["simulate", "--scenario", str(tmp_path / "nope.scenario")]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--scenario", "--out"])
+    def test_a_file_name_of_100000_characters_is_cut_short(self, capsys, scenario_file, flag):
+        argv = ["simulate", "--scenario", str(scenario_file), flag, "x" * 100_000]
+        assert dispatch(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("nestfire: error: ") and err.count("\n") == 1
+        assert err.endswith(": 'xxxxxxxxxxxxxxxxxxxx'... (100000 characters)\n") and len(err) < 200
+
     @pytest.mark.parametrize("flag", [["--out", ""], ["--out="]], ids=["spaced", "equals"])
     def test_empty_out_path_is_invalid_input(self, capsys, scenario_file, flag):
         # An empty path names no file, as with --scenario; it does not mean stdout.
@@ -274,7 +282,7 @@ class TestChain:
 
     def test_zero_weight_rejected(self, capsys):
         assert dispatch(["chain", "--hops", "2,0"]) == 2
-        assert capsys.readouterr().err == "nestfire: error: weight 1 must be >= 1, got 0\n"
+        assert capsys.readouterr().err == "nestfire: error: weight 2 of 2 must be >= 1, got 0\n"
 
     def test_a_million_firings_still_replayed(self, capsys):
         assert dispatch(["chain", "--hops", "1000,1000"]) == 0
@@ -337,6 +345,10 @@ class TestCenter:
         assert out == ""
         assert err.startswith("nestfire: error: ") and err.count("\n") == 1
         assert len(err) < 120 and "9" * 21 not in err, err
+
+    def test_zero_weight_named_by_its_ordinal_as_best_counts(self, capsys):
+        assert dispatch(["center", "--weights", "5,0,2"]) == 2
+        assert capsys.readouterr().err == "nestfire: error: weight 2 of 3 must be >= 1, got 0\n"
 
 
 class TestLayout:

@@ -60,6 +60,7 @@ HUGE_INTEGERS = st.builds(
 LITERALS = st.one_of(
     st.sampled_from(["NaN", "Infinity", "-Infinity", "true", "false", "null", "1e400", "-0.0"]),
     st.sampled_from(['"linear"', '"explicit"', '"free_run"', '""', "[]", "{}", "[1]"]),
+    st.just(json.dumps("x" * 100_000)),  # a message quotes no more than its start
     st.integers(-2, 8).map(str),
     HUGE_INTEGERS,
     st.sampled_from([str(2**63), str(2**64), str(2**1024), "1" + "0" * 400]),
@@ -125,6 +126,7 @@ def test_simulate_exits_0_1_or_2_without_a_traceback(workdir, text):
     if code:
         assert out == ""
         assert err.startswith("nestfire: error:") and err.count("\n") == 1
+        assert len(err.encode()) < 200, err[:300]
     else:
         assert out.startswith("step,neuron,pattern,strength\n") and err == ""
 

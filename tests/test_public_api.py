@@ -80,6 +80,10 @@ def test_public_names_are_pinned():
     assert len(nestfire.__all__) == len(set(nestfire.__all__))
 
 
+def test_dir_lists_every_public_name():
+    assert set(PUBLIC_NAMES) <= set(dir(nestfire))
+
+
 def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from nestfire import *", namespace)

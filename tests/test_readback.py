@@ -78,6 +78,13 @@ def test_a_corrupted_row_names_its_own_line(endings, line, corrupt):
         read_trace(text)
 
 
+def test_a_last_step_cut_short_is_refused():
+    # Two steps of one 2-neuron pattern, less the last row.
+    text = trace_text(1, 2, 2)
+    with pytest.raises(ParseError, match=r"^expected 4 rows, got 3$"):
+        read_trace(text[: text.rindex("2,2,1,")])
+
+
 @pytest.mark.parametrize("ending", ENDINGS, ids=["lf", "cr", "crlf"])
 def test_runs_read_most_rows(monkeypatch, ending):
     # Each step's four blocks of 1000 neurons are read in a few runs, not row by row.

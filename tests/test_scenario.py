@@ -224,6 +224,11 @@ class TestParseScenario:
                 "ensemble.excitatory_unit is beyond the range of a float",
             ),
             (lambda d: d.update(steps="5", mode=1), ParseError, "steps must be int, got str"),
+            (
+                lambda d: d["ensemble"].update({"k" * 100_000: 1}),
+                ParseError,
+                "unknown key 'ensemble.kkkkkkkkkkk'... (100009 characters)",
+            ),
         ],
         ids=[
             "unknown-key-before-its-neighbour's-type",
@@ -233,6 +238,7 @@ class TestParseScenario:
             "schedule-keys-before-their-types",
             "overflow-in-reading-order",
             "steps-before-mode",
+            "unknown-key-of-100000-characters",
         ],
     )
     def test_the_first_fault_is_reported(self, mutate, error, message):
@@ -410,14 +416,16 @@ class TestTraceSerialization:
             ("1,3,-99999999999999999999,0.0", 4),
             ("1,3,1,0.0", 5),  # out of order
             ("2,3,2,0.0", 7),  # pattern drift
+            pytest.param("1,3,1," + "x" * 99_994, 4, id="row-of-100000-characters"),
         ],
     )
     def test_bad_row_names_its_line(self, bad_row, line):
         rows = [f"{t},{i},1,0.0" for t in (1, 2) for i in (1, 2, 3)]
         rows[line - 2] = bad_row
         text = "\n".join(["step,neuron,pattern,strength", *rows]) + "\n"
-        with pytest.raises(ParseError, match=f"^line {line}: "):
+        with pytest.raises(ParseError, match=f"^line {line}: ") as info:
             read_trace(text)
+        assert len(str(info.value)) < 200
         # A blank line is a line: below one, the bad row is a line further down.
         with pytest.raises(ParseError, match=f"^line {line + 1}: "):
             read_trace(text.replace("\n", "\n\n", 1))

@@ -149,7 +149,7 @@ class TestValidate:
             ((PatternSpec(0, None, float("nan")),), 1.0, 0.5, "pattern 0 needs integer id"),
             ((PatternSpec(0, None, 1), PatternSpec(1, "0", 1)), 1.0, 0.5, "pattern 1 needs"),
             ((PatternSpec(0, None, 1),), "1", 0.5, "excitatory_unit must be finite and > 0, got '1'"),
-            ((PatternSpec(0, None, 1),), 10**400, 0.5, "got 1000000000000000000000000000000000000000..."),
+            ((PatternSpec(0, None, 1),), 10**400, 0.5, "got (over 9 digits)"),
             ((PatternSpec(0, None, 1),), 1.0, 0.5j, "inhibitory_weight must be finite and >= 0"),
             ((), 1.0, 0.5, "ensemble has no patterns"),
             ((PatternSpec(0, None, 1), PatternSpec(2, 0, 1)), 1.0, 0.5, "position 1 has id 2"),

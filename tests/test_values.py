@@ -286,8 +286,8 @@ def test_chain_values_coerce_fields():
         (lambda: HopSpec(0.0, 0.0, 1.0, math.inf), "impulse must be finite and > 0, got inf"),
         (lambda: ChainSpec(()), "a chain needs at least one hop"),
         (lambda: WeightChain([]), "a weight chain needs at least one hop"),
-        (lambda: WeightChain([2, 0]), "weight 1 must be >= 1, got 0"),
-        (lambda: WeightChain([2, math.nan]), "weight 1 must be a whole number, got nan"),
+        (lambda: WeightChain([2, 0]), "weight 2 of 2 must be >= 1, got 0"),
+        (lambda: WeightChain([2, math.nan]), "weight 2 of 2 must be a whole number, got nan"),
         (lambda: Route(0.0), "length must be finite and > 0, got 0.0"),
         (lambda: Route(length=1.0, reinforcement=-1.0), "reinforcement must be finite and >= 0, got -1.0"),
         (lambda: Route(math.inf), "length must be finite and > 0, got inf"),
